@@ -2,7 +2,6 @@
 and print the c_p recovery table.
 
 Exit codes: 0 pass, 1 suite failure, 2 usage or data errors.
-JSPEC_THREADS caps worker threads for trial-parallel suites.
 """
 
 from __future__ import annotations

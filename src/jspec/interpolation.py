@@ -39,7 +39,7 @@ from .elements import (
 )
 from .errors import DegenerateInputError, UnsupportedCaseError
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
-from .linmaps import EstimatorConfig, LinearMap, op_norm_estimate
+from .linmaps import EstimatorConfig, LinearMap, estimate_many, op_norm_estimate
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -195,8 +195,9 @@ class BoundReport:
         )})
 
 
-def _estimate(t: LinearMap, r: ExtExponent, s: ExtExponent, cfg: EstimatorConfig) -> float:
-    return op_norm_estimate(t, r, s, cfg).lower_bound
+def _estimates(t: LinearMap, pairs: tuple, cfg: EstimatorConfig) -> list[float]:
+    """Lower bounds for ||T||_{r->s} at each (r, s), from one estimate_many call."""
+    return [est.lower_bound for est in estimate_many([(t, r, s, cfg) for r, s in pairs])]
 
 
 def _interp_report(
@@ -214,9 +215,7 @@ def _interp_report(
     cancel exactly; near-violations trigger one re-estimation pass at
     4x restarts with a shifted seed, keeping the max (still a valid
     lower bound for each norm)."""
-    lhs = _estimate(t, *lhs_rs, cfg)
-    m0 = _estimate(t, *end0, cfg)
-    m1 = _estimate(t, *end1, cfg)
+    lhs, m0, m1 = _estimates(t, (lhs_rs, end0, end1), cfg)
     seeds = {"estimator": cfg.seed, "rerun": None}
 
     def rhs_of(m0v, m1v):
@@ -226,9 +225,8 @@ def _interp_report(
     margin = rhs - lhs
     if margin < -VIOLATION_RTOL * max(rhs, 1e-30):
         wide = cfg.scaled(4, seed_offset=101)
-        lhs = max(lhs, _estimate(t, *lhs_rs, wide))
-        m0 = max(m0, _estimate(t, *end0, wide))
-        m1 = max(m1, _estimate(t, *end1, wide))
+        lhs_w, m0_w, m1_w = _estimates(t, (lhs_rs, end0, end1), wide)
+        lhs, m0, m1 = max(lhs, lhs_w), max(m0, m0_w), max(m1, m1_w)
         rhs = rhs_of(m0, m1)
         margin = rhs - lhs
         seeds["rerun"] = wide.seed
@@ -426,8 +424,8 @@ def three_lines_demo(
 
     cap0 = cap1 = None
     if cfg is not None:
-        cap0 = pair.endpoint_factor(0) * _estimate(t, pair.r0, pair.s0, cfg)
-        cap1 = pair.endpoint_factor(1) * _estimate(t, pair.r1, pair.s1, cfg)
+        cap0 = pair.endpoint_factor(0) * op_norm_estimate(t, pair.r0, pair.s0, cfg).lower_bound
+        cap1 = pair.endpoint_factor(1) * op_norm_estimate(t, pair.r1, pair.s1, cfg).lower_bound
 
     return ThreeLinesReport(
         theta=float(theta),

@@ -149,15 +149,14 @@ def random_map(alg: Algebra, seed: int | np.random.Generator) -> LinearMap:
 # -- dual-norm peaks ----------------------------------------------------
 
 
-def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
-    """Batched dual-norm maximizer.
+def _peak_spectrum(lam: np.ndarray, p: ExtExponent):
+    """Eigenvalues of the batched dual-norm maximizer.
 
-    For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q
-    (q conjugate to p), built in c's Jordan frame. Second return value
-    flags rows with a nonzero spectrum; zero rows yield zero output.
+    lam holds one eigenvalue vector per row, shape (rows, rank). The new
+    eigenvalues depend on p alone, so one decomposition serves every
+    exponent. Second return value flags rows with a nonzero spectrum;
+    zero rows map to zero.
     """
-    decs = alg.decomp(coords)
-    lam = alg.eigenvalues_from(decs)
     alam = np.abs(lam)
     amax = alam.max(axis=-1)
     ok = amax > _ZERO_EIG
@@ -181,7 +180,39 @@ def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
         qnorm = np.where(ok, vector_pnorm(scaled, q), 1.0)
         lam_new = np.sign(lam) * (scaled / qnorm[..., None]) ** (q - 1.0)
         lam_new *= ok[..., None]
+    return lam_new, ok
+
+
+def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
+    """Batched dual-norm maximizer.
+
+    For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q
+    (q conjugate to p), built in c's Jordan frame. Second return value
+    flags rows with a nonzero spectrum; zero rows yield zero output.
+    """
+    decs = alg.decomp(coords)
+    lam_new, ok = _peak_spectrum(alg.eigenvalues_from(decs), p)
     return alg.rebuild(decs, lam_new), ok
+
+
+def _peak_stack(alg: Algebra, x: np.ndarray, exps: list):
+    """_peak_batch over a (problems, restarts, dim) stack, where problem i
+    uses exponent exps[i]: one decomposition and one rebuild for all rows,
+    and the spectral map once per distinct exponent."""
+    n, m, d = x.shape
+    decs = alg.decomp(x.reshape(n * m, d))
+    lam = alg.eigenvalues_from(decs)
+    groups: dict = {}
+    for i, p in enumerate(exps):
+        groups.setdefault(p, []).append(i)
+    if len(groups) == 1:
+        lam_new, ok = _peak_spectrum(lam, exps[0])
+    else:
+        lam_new, ok = np.empty_like(lam), np.empty(n * m, dtype=bool)
+        for p, idx in groups.items():
+            rows = (np.array(idx)[:, None] * m + np.arange(m)).ravel()
+            lam_new[rows], ok[rows] = _peak_spectrum(lam[rows], p)
+    return alg.rebuild(decs, lam_new).reshape(n, m, d), ok.reshape(n, m)
 
 
 def peak(c: Element, p: ExponentLike) -> Element:
@@ -218,14 +249,12 @@ class NormEstimate:
     iterations: int
     restarts_used: int
     converged: bool
-    objective_traces: np.ndarray  # (half-steps, restarts), nondecreasing columns
 
 
-def _pnorm_rows(alg: Algebra, coords: np.ndarray, p: ExtExponent) -> np.ndarray:
-    return vector_pnorm(alg.eigenvalues(coords), p)
-
-
-def _starts(alg: Algebra, mat: np.ndarray, r: ExtExponent, cfg: EstimatorConfig) -> np.ndarray:
+def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+    """Start rows before normalization: the unit, the top right singular
+    vector, frame idempotents, then Gaussians; restart k draws from its
+    own generator (cfg.seed, k)."""
     n_restarts = max(1, cfg.restarts)
     rows = np.empty((n_restarts, alg.dim))
     n_sparse = min(n_restarts, 2 + n_restarts // 4)
@@ -240,55 +269,87 @@ def _starts(alg: Algebra, mat: np.ndarray, r: ExtExponent, cfg: EstimatorConfig)
             rows[k] = frame[rng.integers(alg.rank)]
         else:
             rows[k] = rng.standard_normal(alg.dim)
-    return rows / _pnorm_rows(alg, rows, r)[:, None]
+    return rows
 
 
-def op_norm_estimate(
-    t: LinearMap,
-    r: ExponentLike,
-    s: ExponentLike,
-    cfg: EstimatorConfig | None = None,
-) -> NormEstimate:
-    """Multistart alternating-duality ascent for ||T||_{r->s}.
+def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
+    """Multistart alternating-duality ascent for many ||T||_{r->s} at once.
 
-    Restart k draws its own generator from (cfg.seed, k), so results do
-    not depend on scheduling. Returns the best objective over all
-    restarts; always a valid lower bound.
+    Each problem is a tuple (t, r, s, cfg) with its own map, exponents
+    and seed (cfg None means EstimatorConfig()). All maps live on one
+    algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
+    problems (ValueError otherwise). The restarts of all problems form
+    one (problems, restarts, dim) stack, so each half-step costs one
+    matmul, one decomposition and one rebuild. Restart k of a problem
+    draws its own generator from (cfg.seed, k), and a problem leaves the
+    stack once all its restarts have stalled, so each result equals the
+    one the problem gets alone. Returns one estimate per problem, in
+    order; each is a valid lower bound.
     """
-    cfg = cfg or EstimatorConfig()
-    rex, sex = ExtExponent.coerce(r), ExtExponent.coerce(s)
-    sp = sex.conjugate
-    alg = t.algebra
-    mat = t.matrix
-    e = unit(alg)
-    if not np.any(mat):
-        wa = Element(alg, e.coords / p_norm(e, rex))
-        wb = Element(alg, e.coords / p_norm(e, sp))
-        return NormEstimate(0.0, wa, wb, 0, max(1, cfg.restarts), True, np.zeros((0, 1)))
+    probs = [
+        (t, ExtExponent.coerce(r), ExtExponent.coerce(s), cfg or EstimatorConfig())
+        for t, r, s, cfg in problems
+    ]
+    if not probs:
+        return []
+    alg, cfg = probs[0][0].algebra, probs[0][3]
+    for t, _, _, c in probs:
+        if t.algebra != alg:
+            raise AlgebraMismatchError("estimate_many needs every map on one algebra")
+        if (c.restarts, c.max_iters, c.tol) != (cfg.restarts, cfg.max_iters, cfg.tol):
+            raise ValueError("estimate_many needs one restarts, max_iters and tol for every problem")
+    n_restarts = max(1, cfg.restarts)
+    max_iters = max(1, cfg.max_iters)
+    e = alg.unit_coords()
+    lam_e = alg.eigenvalues(e)
 
-    a_rows = _starts(alg, mat, rex, cfg)
-    n_restarts = a_rows.shape[0]
-    b_rows = np.tile(e.coords / p_norm(e, sp), (n_restarts, 1))
-    values = np.full(n_restarts, -np.inf)
-    stall = np.zeros(n_restarts, dtype=int)
-    traces = []
-    e_unit_sp = e.coords / p_norm(e, sp)
-    e_unit_r = e.coords / p_norm(e, rex)
-    iterations = 0
+    def unit_at(p: ExtExponent) -> np.ndarray:  # the unit scaled to ||.||_p = 1
+        return e / float(vector_pnorm(lam_e, p))
 
-    for it in range(max(1, cfg.max_iters)):
-        iterations = it + 1
+    out: list = [None] * len(probs)
+    live = []
+    for i, (t, rex, sex, _) in enumerate(probs):
+        if np.any(t.matrix):
+            live.append(i)
+        else:
+            wa, wb = Element(alg, unit_at(rex)), Element(alg, unit_at(sex.conjugate))
+            out[i] = NormEstimate(0.0, wa, wb, 0, n_restarts, True)
+    if not live:
+        return out
+
+    # one leading entry per problem still in the stack
+    ids = np.array(live)
+    rex = [probs[i][1] for i in live]
+    sp = [probs[i][2].conjugate for i in live]
+    mats = np.stack([probs[i][0].matrix for i in live])
+    a_rows = np.empty((len(live), n_restarts, alg.dim))
+    starts: dict = {}  # problems on one map with one seed share their draws
+    for j, i in enumerate(live):
+        key = (probs[i][3].seed, mats[j].tobytes())
+        if key not in starts:
+            rows = _starts(alg, mats[j], probs[i][3])
+            starts[key] = rows, alg.eigenvalues(rows)
+        rows, lam = starts[key]
+        a_rows[j] = rows / vector_pnorm(lam, rex[j])[:, None]
+    e_unit_sp = np.stack([unit_at(p) for p in sp])[:, None, :]
+    e_unit_r = np.stack([unit_at(p) for p in rex])[:, None, :]
+    b_rows = np.repeat(e_unit_sp, n_restarts, axis=1)
+    values = np.full((len(live), n_restarts), -np.inf)
+    stall = np.zeros(values.shape, dtype=int)
+
+    for it in range(max_iters):
+        mats_t = mats.transpose(0, 2, 1)
         for half in (0, 1):
             if half == 0:
-                ta = a_rows @ mat.T
-                cand, ok = _peak_batch(alg, ta, sp)
-                cand = np.where(ok[:, None], cand, e_unit_sp)
-                vals = np.einsum("ij,ij->i", ta, cand)
+                ta = np.matmul(a_rows, mats_t)
+                cand, ok = _peak_stack(alg, ta, sp)
+                cand = np.where(ok[..., None], cand, e_unit_sp)
+                vals = np.einsum("prj,prj->pr", ta, cand)
             else:
-                tb = b_rows @ mat
-                cand, ok = _peak_batch(alg, tb, rex)
-                cand = np.where(ok[:, None], cand, e_unit_r)
-                vals = np.einsum("ij,ij->i", (cand @ mat.T), b_rows)
+                tb = np.matmul(b_rows, mats)
+                cand, ok = _peak_stack(alg, tb, rex)
+                cand = np.where(ok[..., None], cand, e_unit_r)
+                vals = np.einsum("prj,prj->pr", np.matmul(cand, mats_t), b_rows)
             done = stall >= 2
             improve = (vals > values) & ~done
             scale = np.maximum(1.0, np.abs(values))
@@ -299,20 +360,38 @@ def op_norm_estimate(
                 a_rows[improve] = cand[improve]
             values = np.where(improve, vals, values)
             stall = np.where(done, stall, np.where(small, stall + 1, 0))
-            traces.append(values.copy())
-        if np.all(stall >= 2):
+        finished = np.all(stall >= 2, axis=1) | (it + 1 == max_iters)
+        for j in np.flatnonzero(finished):
+            best = int(np.argmax(values[j]))
+            out[ids[j]] = NormEstimate(
+                lower_bound=float(values[j, best]),
+                witness_a=Element(alg, a_rows[j, best]),
+                witness_b=Element(alg, b_rows[j, best]),
+                iterations=it + 1,
+                restarts_used=n_restarts,
+                converged=bool(stall[j, best] >= 2),
+            )
+        if finished.all():
             break
+        keep = ~finished
+        ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
+        values, stall = values[keep], stall[keep]
+        e_unit_sp, e_unit_r = e_unit_sp[keep], e_unit_r[keep]
+        rex = [p for p, k in zip(rex, keep) if k]
+        sp = [p for p, k in zip(sp, keep) if k]
+    return out
 
-    best = int(np.argmax(values))
-    return NormEstimate(
-        lower_bound=float(values[best]),
-        witness_a=Element(alg, a_rows[best]),
-        witness_b=Element(alg, b_rows[best]),
-        iterations=iterations,
-        restarts_used=n_restarts,
-        converged=bool(stall[best] >= 2),
-        objective_traces=np.array(traces),
-    )
+
+def op_norm_estimate(
+    t: LinearMap,
+    r: ExponentLike,
+    s: ExponentLike,
+    cfg: EstimatorConfig | None = None,
+) -> NormEstimate:
+    """Multistart alternating-duality ascent for ||T||_{r->s}: the
+    one-problem case of estimate_many. Returns the best objective over
+    all restarts; always a valid lower bound."""
+    return estimate_many([(t, r, s, cfg)])[0]
 
 
 # -- closed forms -------------------------------------------------------

@@ -2,16 +2,15 @@
 runs, assembled into integrity-checked reports.
 
 Every suite derives per-trial randomness from (config seed, trial
-index), so results do not depend on scheduling; trial-parallel suites
-are reduced in trial order. JSPEC_THREADS caps worker threads.
+index) and runs its trials in order. Estimator suites hand all norm
+problems of a trial to one estimate_many call; each problem keeps its
+own seed, so batching does not change results.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,8 +38,9 @@ from .linmaps import (
     _peak_batch,
     closed_form_norm,
     congruence,
+    estimate_many,
     lyapunov,
-    op_norm_estimate,
+    op_norm_estimate,  # noqa: F401  re-exported: bench/test_harness.py looks it up here
     quadratic_rep,
     random_doubly_stochastic,
     random_map,
@@ -50,30 +50,6 @@ from .reports import CampaignConfig, SuiteReport, exponent_to_json, load_report,
 INEQ_SLACK = 1e-9  # criterion slack for exact inequalities
 EST_RTOL = 1e-5  # estimator-vs-identity relative tolerance
 LINE_SLACK = 1e-6  # sampled three-lines bounds
-
-
-def thread_cap() -> int:
-    """Worker-thread limit; JSPEC_THREADS caps it."""
-    available = os.cpu_count() or 1
-    env = os.environ.get("JSPEC_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ReportError(f"JSPEC_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ReportError(f"JSPEC_THREADS must be >= 1, got {cap}")
-        return min(cap, available)
-    return min(available, 8)
-
-
-def _pmap(fn, items: list) -> list:
-    """Map preserving order; threaded when allowed and worthwhile."""
-    cap = thread_cap()
-    if cap == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def derive_seed(base: int, *path: int) -> int:
@@ -210,40 +186,44 @@ def _suite_gen_holder(cfg: CampaignConfig):
 
 def _norm_family_suite(cfg: CampaignConfig, kind: str):
     alg = parse_algebra(cfg.algebra)
-    exps = cfg.exponents
+    pairs = [(r, s) for r in cfg.exponents for s in cfg.exponents]
 
     def one(trial: int) -> dict:
         a = random_element(alg, _rng(cfg.seed, 6, trial))
         t = lyapunov(a) if kind == "lyapunov" else quadratic_rep(a)
         ecfg = _est_cfg(cfg, trial)
+        ests = [est.lower_bound for est in estimate_many([(t, r, s, ecfg) for r, s in pairs])]
         out = {"trial": trial, "exact_delta": 0.0, "upper_overshoot": -math.inf,
                "lower_slack": math.inf, "case": None}
-        for r in exps:
-            for s in exps:
-                cf = closed_form_norm(kind, r, s, a=a)
-                est = op_norm_estimate(t, r, s, ecfg).lower_bound
-                if cf.is_exact:
-                    delta = abs(est - cf.exact) / max(1.0, cf.exact)
-                    if delta > out["exact_delta"]:
-                        out["exact_delta"] = delta
-                        out["case"] = [exponent_to_json(r.value), exponent_to_json(s.value)]
-                else:
-                    over = (est - cf.upper) / max(1.0, cf.upper)
-                    slack = (est - cf.lower) / max(1.0, cf.lower)
-                    out["upper_overshoot"] = max(out["upper_overshoot"], over)
-                    out["lower_slack"] = min(out["lower_slack"], slack)
+        for (r, s), est in zip(pairs, ests):
+            cf = closed_form_norm(kind, r, s, a=a)
+            if cf.is_exact:
+                delta = abs(est - cf.exact) / max(1.0, cf.exact)
+                if delta > out["exact_delta"]:
+                    out["exact_delta"] = delta
+                    out["case"] = [exponent_to_json(r.value), exponent_to_json(s.value)]
+            else:
+                over = (est - cf.upper) / max(1.0, cf.upper)
+                slack = (est - cf.lower) / max(1.0, cf.lower)
+                out["upper_overshoot"] = max(out["upper_overshoot"], over)
+                out["lower_slack"] = min(out["lower_slack"], slack)
+        # a grid whose pairs all have closed forms leaves both bracket
+        # fields infinite, which JSON cannot hold; report 0.0 for them
+        for key in ("upper_overshoot", "lower_slack"):
+            if not math.isfinite(out[key]):
+                out[key] = 0.0
         return out
 
-    rows = _pmap(one, list(range(cfg.trials)))
+    rows = [one(trial) for trial in range(cfg.trials)]
     max_delta = max(r["exact_delta"] for r in rows)
     max_over = max(r["upper_overshoot"] for r in rows)
     min_slack = min(r["lower_slack"] for r in rows)
     margins = {
         "max_exact_delta": float(max_delta),
         "max_upper_overshoot": float(max_over),
-        "min_lower_slack": float(min_slack) if math.isfinite(min_slack) else 0.0,
+        "min_lower_slack": float(min_slack),
     }
-    passed = max_delta <= EST_RTOL and max_over <= INEQ_SLACK and margins["min_lower_slack"] >= -EST_RTOL
+    passed = max_delta <= EST_RTOL and max_over <= INEQ_SLACK and min_slack >= -EST_RTOL
     return passed, margins, _worst(rows, "exact_delta")
 
 
@@ -283,30 +263,33 @@ def _suite_positive(cfg: CampaignConfig):
         family, pm = _positive_map(cfg, alg, trial)
         ecfg = _est_cfg(cfg, trial)
         pe, pse = pm(e), pm.adjoint(e)
+        # per exponent: the two identity problems, then the three capped ones
+        pairs = [rs for p in exps for rs in ((inf, p), (p, one_exp), (p, inf), (one_exp, p), (p, p))]
+        ests = iter([est.lower_bound for est in estimate_many([(pm, r, s, ecfg) for r, s in pairs])])
         out = {"trial": trial, "family": family, "identity_delta": 0.0,
                "cap_overshoot": -math.inf, "case": None}
         for p in exps:
             q = p.conjugate
-            got = op_norm_estimate(pm, inf, p, ecfg).lower_bound
+            got = next(ests)
             want = p_norm(pe, p)
             d1 = abs(got - want) / max(1.0, want)
-            got = op_norm_estimate(pm, p, one_exp, ecfg).lower_bound
+            got = next(ests)
             want = p_norm(pse, q)
             d2 = abs(got - want) / max(1.0, want)
             if max(d1, d2) > out["identity_delta"]:
                 out["identity_delta"] = max(d1, d2)
                 out["case"] = exponent_to_json(p.value)
             caps = (
-                (p, inf, p_norm(pe, "inf")),
-                (one_exp, p, p_norm(pse, "inf")),
-                (p, p, p_norm(pe, "inf") ** (1.0 - p.inv) * p_norm(pse, "inf") ** p.inv),
+                p_norm(pe, "inf"),
+                p_norm(pse, "inf"),
+                p_norm(pe, "inf") ** (1.0 - p.inv) * p_norm(pse, "inf") ** p.inv,
             )
-            for r, s, cap in caps:
-                est = op_norm_estimate(pm, r, s, ecfg).lower_bound
+            for cap in caps:
+                est = next(ests)
                 out["cap_overshoot"] = max(out["cap_overshoot"], (est - cap) / max(1.0, cap))
         return out
 
-    rows = _pmap(one, list(range(cfg.trials)))
+    rows = [one(trial) for trial in range(cfg.trials)]
     max_delta = max(r["identity_delta"] for r in rows)
     max_over = max(r["cap_overshoot"] for r in rows)
     margins = {"max_identity_delta": float(max_delta), "max_cap_overshoot": float(max_over)}
@@ -330,7 +313,7 @@ def _interp_suite(cfg: CampaignConfig, checker) -> tuple[bool, dict, list]:
         row.update(extra)
         return row
 
-    rows = _pmap(one, list(range(cfg.trials)))
+    rows = [one(trial) for trial in range(cfg.trials)]
     violated = [r for r in rows if r["violated"]]
     max_ratio = max(r["ratio"] for r in rows)
     ds_over = max((r.get("ds_overshoot", -math.inf) for r in rows), default=-math.inf)
@@ -360,11 +343,8 @@ def _suite_theorem1(cfg: CampaignConfig):
         extra = {}
         if trial % 5 == 4:
             t = random_doubly_stochastic(alg, rng)
-            over = -math.inf
-            for p in (p0, p1):
-                est = op_norm_estimate(t, p, p, ecfg).lower_bound
-                over = max(over, est - 1.0)
-            extra["ds_overshoot"] = float(over)
+            ests = estimate_many([(t, p, p, ecfg) for p in (p0, p1)])
+            extra["ds_overshoot"] = float(max(est.lower_bound - 1.0 for est in ests))
         else:
             t = random_map(alg, rng)
         return check_theorem1(t, p0, p1, theta, ecfg), extra
@@ -444,7 +424,7 @@ def _suite_three_lines(cfg: CampaignConfig):
             "theta": theta,
         }
 
-    rows = _pmap(one, list(range(cfg.trials)))
+    rows = [one(trial) for trial in range(cfg.trials)]
     margins = {
         "max_pairing_error": float(max(r["pairing_error"] for r in rows)),
         "max_geo_overshoot": float(max(r["geo_overshoot"] for r in rows)),

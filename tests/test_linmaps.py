@@ -2,6 +2,7 @@
 and the closed-form norm table."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from jspec import (
     DegenerateInputError,
     Element,
     EstimatorConfig,
+    LinearMap,
     UnsupportedCaseError,
     closed_form_norm,
     congruence,
     conjugate,
+    estimate_many,
     identity_map,
     inner_product,
     interpolate,
@@ -233,13 +236,12 @@ class TestEstimator:
         assert e1.lower_bound == e2.lower_bound
         assert np.array_equal(e1.witness_a.coords, e2.witness_a.coords)
 
-    def test_traces_exactly_nondecreasing(self, algebra):
+    def test_lower_bound_nondecreasing_in_max_iters(self, algebra):
+        # a longer ascent from the same starts never ends lower
         t = random_map(algebra, 43)
-        est = op_norm_estimate(t, 1, math.inf, FAST)
-        traces = est.objective_traces
-        assert traces.shape[1] == FAST.restarts
-        assert np.all(np.diff(traces, axis=0) >= 0.0)
-        assert est.lower_bound == traces[-1].max()
+        bounds = [op_norm_estimate(t, 1, math.inf, replace(FAST, max_iters=k)).lower_bound
+                  for k in range(1, 9)]
+        assert all(b1 >= b0 for b0, b1 in zip(bounds, bounds[1:]))
 
     def test_witness_consistency(self, algebra):
         t = random_map(algebra, 47)
@@ -271,6 +273,50 @@ class TestEstimator:
         assert wide.restarts == 32
         assert wide.seed != cfg.seed
         assert wide.max_iters == cfg.max_iters
+
+
+class TestEstimateMany:
+    def test_batch_matches_solo(self, algebra):
+        # p = 1, finite p and p = inf on both half-steps, a zero map, two
+        # seeds, two maps and two problems sharing a map and a seed in one
+        # batch; each problem must come out as it does alone
+        t = random_map(algebra, 71)
+        lyap = lyapunov(random_element(algebra, 72))
+        zero_map = LinearMap(algebra, np.zeros((algebra.dim, algebra.dim)))
+        cfg0, cfg1 = replace(FAST, seed=5), replace(FAST, seed=6)
+        problems = [
+            (t, 1, 2.5, cfg0),
+            (t, 2.5, math.inf, cfg1),
+            (t, math.inf, 4, cfg1),
+            (zero_map, 2, 3, cfg0),
+            (lyap, math.inf, 1, cfg1),
+            (lyap, 3, 1.25, cfg0),
+        ]
+        batch = estimate_many(problems)
+        assert len(batch) == len(problems)
+        for prob, got in zip(problems, batch):
+            want = op_norm_estimate(*prob)
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+            assert got.restarts_used == want.restarts_used
+            assert got.lower_bound == pytest.approx(want.lower_bound, rel=1e-12, abs=1e-12)
+            for w_got, w_want in ((got.witness_a, want.witness_a), (got.witness_b, want.witness_b)):
+                assert np.allclose(w_got.coords, w_want.coords, rtol=0.0, atol=1e-12)
+        assert batch[3].lower_bound == 0.0 and batch[3].iterations == 0
+        assert any(0 < est.iterations < FAST.max_iters for est in batch)  # early exits happen
+
+    @pytest.mark.parametrize("field,value", [("restarts", 8), ("max_iters", 7), ("tol", 1e-6)])
+    def test_mismatched_settings_rejected(self, field, value):
+        t = random_map(parse_algebra("sym:2"), 73)
+        with pytest.raises(ValueError, match="restarts, max_iters and tol"):
+            estimate_many([(t, 2, 2, FAST), (t, 2, 3, replace(FAST, **{field: value}))])
+
+    def test_empty_and_mixed_algebras(self):
+        assert estimate_many([]) == []
+        t2 = random_map(parse_algebra("sym:2"), 74)
+        t3 = random_map(parse_algebra("spin:3"), 75)
+        with pytest.raises(AlgebraMismatchError):
+            estimate_many([(t2, 2, 2, FAST), (t3, 2, 2, FAST)])
 
 
 class TestClosedForms:

@@ -1,7 +1,6 @@
-"""Verification suites: margin schemas, determinism, threading, replay."""
+"""Verification suites: margin schemas, determinism, replay."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from jspec import (
     run_suite,
 )
 from jspec.reports import SUITE_IDS
-from jspec.suites import derive_seed, thread_cap
+from jspec.suites import derive_seed
 
 SMOKE = {
     "ftvn": dict(trials=8),
@@ -68,27 +67,6 @@ class TestSeedsAndThreads:
     def test_derive_seed_depends_on_base(self):
         assert derive_seed(1, 5, 0) != derive_seed(2, 5, 0)
 
-    def test_thread_cap_default(self, monkeypatch):
-        monkeypatch.delenv("JSPEC_THREADS", raising=False)
-        cap = thread_cap()
-        assert 1 <= cap <= 8
-
-    def test_thread_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("JSPEC_THREADS", "2")
-        assert thread_cap() == min(2, os.cpu_count() or 1)
-        monkeypatch.setenv("JSPEC_THREADS", "1")
-        assert thread_cap() == 1
-
-    def test_thread_cap_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setenv("JSPEC_THREADS", "100000")
-        assert thread_cap() <= (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("bad", ["zero?", "0", "-3", "1.5"])
-    def test_thread_cap_rejects_garbage(self, monkeypatch, bad):
-        monkeypatch.setenv("JSPEC_THREADS", bad)
-        with pytest.raises(ReportError):
-            thread_cap()
-
 
 class TestAllSuitesSmoke:
     @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -98,15 +76,6 @@ class TestAllSuitesSmoke:
         assert rep.passed, rep.margins
         assert set(rep.margins) == MARGIN_KEYS[suite]
         assert CampaignConfig.from_json(rep.config) == _smoke_cfg(suite)
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = _smoke_cfg("theorem2")
-        monkeypatch.setenv("JSPEC_THREADS", "1")
-        serial = run_suite(cfg)
-        monkeypatch.setenv("JSPEC_THREADS", "4")
-        parallel = run_suite(cfg)
-        assert serial.checksum == parallel.checksum
-        assert serial.margins == parallel.margins
 
     def test_seed_changes_results(self):
         a = run_suite(_smoke_cfg("ftvn", seed=1))

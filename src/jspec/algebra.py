@@ -16,6 +16,13 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 * HermMatrix(k)  -- k real diagonal entries, then for each i<j the pair
                     (sqrt(2)*Re A_ij, sqrt(2)*Im A_ij) in row-major order.
 
+Factor protocol: besides its chart (unit_coords, trace_vector, jordan),
+every factor has decomp(u) -> dec, eigenvalues(dec), rebuild(dec, lam),
+frame(dec) and random_frame(rng), plus eigvals(u), the descending
+eigenvalues of u computed without the Jordan frame. Norms and trace
+inequalities need only eigenvalues, so they use eigvals and never pay for
+eigenvectors.
+
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
 """
@@ -50,6 +57,9 @@ class RealLine:
         return u * v
 
     def decomp(self, u: np.ndarray):
+        return u
+
+    def eigvals(self, u: np.ndarray) -> np.ndarray:
         return u
 
     def eigenvalues(self, dec) -> np.ndarray:
@@ -105,10 +115,14 @@ class Spin:
         wb = (u0 * vb + v0 * ub) / _SQRT2
         return np.concatenate([w0, wb], axis=-1)
 
-    def decomp(self, u: np.ndarray):
+    @staticmethod
+    def _center_radius(u: np.ndarray):
         x0 = u[..., 0] / _SQRT2
         xb = u[..., 1:] / _SQRT2
-        rho = np.sqrt((xb * xb).sum(axis=-1))
+        return x0, xb, np.sqrt((xb * xb).sum(axis=-1))
+
+    def decomp(self, u: np.ndarray):
+        x0, xb, rho = self._center_radius(u)
         # canonical direction for xbar = 0: first coordinate axis
         w = np.zeros_like(xb)
         safe = rho > 0.0
@@ -119,6 +133,10 @@ class Spin:
 
     def eigenvalues(self, dec) -> np.ndarray:
         x0, rho, _ = dec
+        return np.stack([x0 + rho, x0 - rho], axis=-1)
+
+    def eigvals(self, u: np.ndarray) -> np.ndarray:
+        x0, _, rho = self._center_radius(u)
         return np.stack([x0 + rho, x0 - rho], axis=-1)
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
@@ -193,6 +211,9 @@ class SymMatrix:
 
     def eigenvalues(self, dec) -> np.ndarray:
         return dec[0]
+
+    def eigvals(self, u: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
         q = dec[1]
@@ -273,6 +294,9 @@ class HermMatrix:
 
     def eigenvalues(self, dec) -> np.ndarray:
         return dec[0]
+
+    def eigvals(self, u: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
         q = dec[1]
@@ -384,8 +408,11 @@ class Algebra:
 
     def eigenvalues(self, coords: np.ndarray) -> np.ndarray:
         """Eigenvalue vector per batch entry, factor-concatenated (each
-        factor's block descending); not globally sorted."""
-        return self.eigenvalues_from(self.decomp(coords))
+        factor's block descending); not globally sorted. Computes no
+        Jordan frame."""
+        return np.concatenate(
+            [f.eigvals(coords[..., sl]) for f, sl in zip(self.factors, self.slices)], axis=-1
+        )
 
     def rebuild(self, decs: list, lam: np.ndarray) -> np.ndarray:
         parts = [

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .errors import JspecError
-from .exponents import ExtExponent
 from .reports import DEFAULT_GRID, SUITE_IDS, CampaignConfig
 from .suites import cp_table_csv, replay, run_suite
 
@@ -20,7 +19,7 @@ def _parse_grid(text: str) -> tuple:
     values = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not values:
         raise JspecError("empty exponent grid")
-    return tuple(ExtExponent.coerce(tok).value for tok in values)
+    return tuple(values)  # CampaignConfig coerces and validates each exponent
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Algebra
-from .errors import AlgebraMismatchError
+from .errors import AlgebraMismatchError, NonFiniteInputError
 from .exponents import ExponentLike, vector_pnorm
 
 
@@ -26,6 +26,8 @@ class Element:
             raise ValueError(
                 f"coords must have shape ({self.algebra.dim},), got {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise NonFiniteInputError("element coords must be finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)

@@ -13,6 +13,10 @@ class DegenerateInputError(JspecError):
     """An input is zero / non-invertible where the operation needs otherwise."""
 
 
+class NonFiniteInputError(JspecError):
+    """An element or map holds a NaN or infinite entry."""
+
+
 class UnsupportedCaseError(JspecError):
     """No closed form or bound is known for the requested combination."""
 

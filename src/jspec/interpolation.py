@@ -39,9 +39,8 @@ from .elements import (
 )
 from .errors import DegenerateInputError, UnsupportedCaseError
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
-from .linmaps import EstimatorConfig, LinearMap, estimate_many, op_norm_estimate
-
-_SQRT8 = 2.0 * math.sqrt(2.0)
+from .linmaps import _SQRT8, EstimatorConfig, LinearMap, estimate_many, op_norm_estimate
+from .reports import exponent_to_json
 
 # relative slack separating numerical noise from a real counterexample
 VIOLATION_RTOL = 1e-8
@@ -151,10 +150,6 @@ def theorem2_constant_theta(pair: ExponentPair, theta: float) -> float:
 # -- bound reports -------------------------------------------------------
 
 
-def _exp_json(p: ExtExponent):
-    return "inf" if p.is_inf else p.value
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One falsification instance: certified lower bound for the left
@@ -232,9 +227,9 @@ def _interp_report(
         seeds["rerun"] = wide.seed
     violated = bool(margin < -VIOLATION_RTOL * max(rhs, 1e-30))
     exps = {
-        "r0": _exp_json(end0[0]), "s0": _exp_json(end0[1]),
-        "r1": _exp_json(end1[0]), "s1": _exp_json(end1[1]),
-        "r_theta": _exp_json(lhs_rs[0]), "s_theta": _exp_json(lhs_rs[1]),
+        "r0": exponent_to_json(end0[0].value), "s0": exponent_to_json(end0[1].value),
+        "r1": exponent_to_json(end1[0].value), "s1": exponent_to_json(end1[1].value),
+        "r_theta": exponent_to_json(lhs_rs[0].value), "s_theta": exponent_to_json(lhs_rs[1].value),
     }
     return BoundReport(
         theorem=theorem,

@@ -20,7 +20,12 @@ import numpy as np
 
 from .algebra import Algebra, SymMatrix
 from .elements import Element, jordan_product, p_norm, unit, _check_same
-from .errors import AlgebraMismatchError, DegenerateInputError, UnsupportedCaseError
+from .errors import (
+    AlgebraMismatchError,
+    DegenerateInputError,
+    NonFiniteInputError,
+    UnsupportedCaseError,
+)
 from .exponents import ExponentLike, ExtExponent, cp_constant, vector_pnorm
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
@@ -42,6 +47,8 @@ class LinearMap:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d, d):
             raise ValueError(f"matrix must have shape ({d}, {d}), got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteInputError("map matrix must be finite")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

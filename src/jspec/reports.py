@@ -68,13 +68,21 @@ class CampaignConfig:
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "restarts", "max_iters", "starts"):
+            if getattr(self, name) < 1:
+                raise ReportError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
-        grid = tuple(ExtExponent.coerce(p).value for p in self.grid)
+            raise ReportError(f"n must be >= 2, got {self.n}")
+        if self.seed < 0:
+            raise ReportError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ReportError(f"tol must be finite and >= 0, got {self.tol}")
+        try:
+            grid = tuple(ExtExponent.coerce(p).value for p in self.grid)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ReportError(f"bad grid exponent: {exc}") from None
         if not grid:
-            raise ValueError("grid must be nonempty")
+            raise ReportError("grid must be nonempty")
         object.__setattr__(self, "grid", grid)
 
     @property

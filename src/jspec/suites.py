@@ -35,7 +35,7 @@ from .interpolation import (
 from .linmaps import (
     EstimatorConfig,
     LinearMap,
-    _peak_batch,
+    _peak_spectrum,
     closed_form_norm,
     congruence,
     estimate_many,
@@ -113,12 +113,15 @@ def _suite_holder(cfg: CampaignConfig):
         b = _rng(cfg.seed, 3, gi).standard_normal((m, alg.dim))
         ip = np.abs(np.einsum("ij,ij->i", a, b))
         ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
-        na = vector_pnorm(alg.eigenvalues(a), p)
+        decs = alg.decomp(a)  # one decomposition for ||a||_p and the peak
+        lam_a = alg.eigenvalues_from(decs)
+        na = vector_pnorm(lam_a, p)
         nb = vector_pnorm(alg.eigenvalues(b), q)
         scale = np.maximum(na * nb, 1e-30)
         v1 = (ip - ab1) / scale
         v2 = (ab1 - na * nb) / scale
-        peaks, ok = _peak_batch(alg, a, q)
+        lam_peak, ok = _peak_spectrum(lam_a, q)
+        peaks = alg.rebuild(decs, lam_peak)
         pairing = np.einsum("ij,ij->i", a, peaks)
         attain = np.where(ok, np.abs(pairing - na) / np.maximum(na, 1e-30), 0.0)
         k1, k2, k3 = int(np.argmax(v1)), int(np.argmax(v2)), int(np.argmax(attain))

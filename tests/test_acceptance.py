@@ -20,7 +20,6 @@ from jspec import (
     congruence,
     estimate_many,
     lyapunov,
-    op_norm_estimate,
     parse_algebra,
     quadratic_rep,
     run_suite,
@@ -149,7 +148,9 @@ CAP_PAIRS = ((1, 2), (2, 4), (1, math.inf), (2, 2), (4, 4), (2, 1), (4, 2), (mat
 def test_03_positive_map_identities_and_caps():
     """Every cone-preserving map satisfies ||P||_{inf->p} = ||P(e)||_p and
     ||P||_{p->1} = ||P*(e)||_{p'} to 1e-5 relative, and the estimator never
-    exceeds the closed-form upper caps nor undershoots the lower bounds."""
+    exceeds the closed-form upper caps nor undershoots the lower bounds.
+    Each map's problems go to one estimate_many call; every problem keeps
+    its own seed."""
     worst_id = 0.0
     worst_cap = -math.inf
     worst_lower = math.inf
@@ -158,17 +159,19 @@ def test_03_positive_map_identities_and_caps():
         e = unit(alg)
         pe = pmap(e)
         pse = adjoint(pmap)(e)
+        probs, wants = [], []  # identity problems first, then the caps
         for pi, p in enumerate(P_GRID):
             q = ExtExponent.coerce(p).conjugate
-            cfg = replace(EST32, seed=derive_seed(303, mi, pi))
-            got = op_norm_estimate(pmap, math.inf, p, cfg).lower_bound
-            worst_id = max(worst_id, _rel(got, p_norm(pe, p)))
-            got = op_norm_estimate(pmap, p, 1, cfg).lower_bound
-            worst_id = max(worst_id, _rel(got, p_norm(pse, q)))
-        for ci, (r, s) in enumerate(CAP_PAIRS):
+            seed = derive_seed(303, mi, pi)
+            probs += [(math.inf, p, seed), (p, 1, seed)]
+            wants += [p_norm(pe, p), p_norm(pse, q)]
+        probs += [(r, s, derive_seed(303, mi, 99, ci)) for ci, (r, s) in enumerate(CAP_PAIRS)]
+        ests = [est.lower_bound for est in estimate_many(
+            [(pmap, r, s, replace(EST32, seed=seed)) for r, s, seed in probs])]
+        for got, want in zip(ests, wants):
+            worst_id = max(worst_id, _rel(got, want))
+        for (r, s), est in zip(CAP_PAIRS, ests[len(wants):]):
             cf = closed_form_norm("positive", r, s, pmap=pmap)
-            cfg = replace(EST32, seed=derive_seed(303, mi, 99, ci))
-            est = op_norm_estimate(pmap, r, s, cfg).lower_bound
             worst_cap = max(worst_cap, (est - cf.upper) / cf.upper)
             worst_lower = min(worst_lower, (est - cf.lower) / max(cf.lower, 1e-30))
     _report(f"03 positive-map identities: max rel identity error = {worst_id:.3e} "
@@ -285,7 +288,8 @@ def test_08_structural_invariants_and_duality():
     """Per acceptance algebra: 10^3 spectral decompositions reconstruct to
     1e-10 and their frames satisfy the frame identities to 1e-9; adjoint
     pairing error stays below 1e-10; and 20 random maps per algebra satisfy
-    ||T*||_{s'->r'} = ||T||_{r->s} to 1e-5 with matched estimator seeds."""
+    ||T*||_{s'->r'} = ||T||_{r->s} to 1e-5 with matched estimator seeds.
+    Each algebra's forward/adjoint pairs go to one estimate_many call."""
     worst_resid = 0.0
     worst_frame = 0.0
     worst_adj = 0.0
@@ -307,6 +311,7 @@ def test_08_structural_invariants_and_duality():
                 float(np.abs(frame @ frame.T - eye).max()),
                 float(np.abs(alg.jordan(frame, frame) - frame).max()),
             )
+        duals = []
         for mi in range(20):
             tmap = random_map(alg, rng)
             tstar = adjoint(tmap)
@@ -319,9 +324,10 @@ def test_08_structural_invariants_and_duality():
             r, s = rng.choice(len(P_GRID), size=2)
             r, s = ExtExponent.coerce(P_GRID[r]), ExtExponent.coerce(P_GRID[s])
             cfg = replace(EST32, seed=derive_seed(808, ai, mi))
-            fwd = op_norm_estimate(tmap, r, s, cfg).lower_bound
-            rev = op_norm_estimate(tstar, s.conjugate, r.conjugate, cfg).lower_bound
-            worst_dual = max(worst_dual, _rel(rev, fwd))
+            duals += [(tmap, r, s, cfg), (tstar, s.conjugate, r.conjugate, cfg)]
+        ests = estimate_many(duals)
+        for fwd, rev in zip(ests[::2], ests[1::2]):
+            worst_dual = max(worst_dual, _rel(rev.lower_bound, fwd.lower_bound))
     _report(f"08 structural invariants: max reconstruction residual = "
             f"{worst_resid:.3e} (limit 1e-10); max frame defect = {worst_frame:.3e} "
             f"(limit 1e-9); max adjoint pairing gap = {worst_adj:.3e} (limit 1e-10); "

@@ -156,6 +156,38 @@ class TestSpectral:
         assert np.allclose(frames.sum(axis=0), alg.unit_coords(), atol=1e-14)
 
 
+class TestEigenvalueKernel:
+    """Algebra.eigenvalues (eigenvalue-only) against the full decomposition."""
+
+    @staticmethod
+    def _batch(algebra, rng):
+        """Shape (2, 3, dim): random rows, a zero row, the unit and a
+        multiple of it (both with repeated eigenvalues)."""
+        e = algebra.unit_coords()
+        rows = [rng.standard_normal(algebra.dim), np.zeros(algebra.dim), e,
+                -2.5 * e, rng.standard_normal(algebra.dim) * 30.0, rng.standard_normal(algebra.dim)]
+        return np.stack(rows).reshape(2, 3, algebra.dim)
+
+    def test_matches_decomposition(self, algebra, rng):
+        x = self._batch(algebra, rng)
+        for u in (x, x[0], x[1, 2]):  # leading shapes (2, 3), (3,) and none
+            got = algebra.eigenvalues(u)
+            want = algebra.eigenvalues_from(algebra.decomp(u))
+            assert got.shape == u.shape[:-1] + (algebra.rank,)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_blocks_descending(self, algebra, rng):
+        lam = algebra.eigenvalues(self._batch(algebra, rng))
+        for rsl in algebra.rank_slices:
+            assert np.all(np.diff(lam[..., rsl], axis=-1) <= 0.0)
+
+    @pytest.mark.parametrize("desc", ["rn:6", "spin:5", "spin:2", "rn:2,spin:3,rn:1"])
+    def test_spin_and_rn_bitwise(self, desc, rng):
+        alg = parse_algebra(desc)
+        x = self._batch(alg, rng)
+        assert np.array_equal(alg.eigenvalues(x), alg.eigenvalues_from(alg.decomp(x)))
+
+
 class TestDenseCodecs:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_sym_round_trip_against_oracle(self, k, rng):

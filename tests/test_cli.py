@@ -63,6 +63,26 @@ class TestRun:
         code = run_cli("run", "--suite", "ftvn", "--trials", "2", "--grid", " , ")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--trials", "0"),
+            ("--n", "1"),
+            ("--seed", "-1"),
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--tol", "-1e-9"),
+            ("--restarts", "0"),
+            ("--max-iters", "0"),
+            ("--starts", "0"),
+            ("--grid", "1/2"),
+        ],
+    )
+    def test_bad_config_exit_two(self, capsys, flag, value):
+        code = run_cli("run", "--suite", "ftvn", "--trials", "2", f"{flag}={value}")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_grid_without_brackets_writes_report(self, tmp_path):
         # every (r, s) pair on this grid has a closed form, so no bracket
         # margin is ever set; the report must still be valid JSON

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jspec import (
     Element,
+    LinearMap,
+    NonFiniteInputError,
     conjugate,
     cp_constant,
     eigenvalues,
@@ -58,6 +60,20 @@ def element_pairs(draw):
         )
     )
     return a, Element(a.algebra, np.array(coords))
+
+
+@st.composite
+def non_finite_arrays(draw, shape_of):
+    """(algebra, array) where the array, of shape shape_of(alg), holds at
+    least one NaN or infinite entry among finite ones."""
+    alg = SMALL_ALGEBRAS[draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]
+    shape = shape_of(alg)
+    size = int(np.prod(shape))
+    vals = draw(st.lists(st.floats(-50.0, 50.0), min_size=size, max_size=size))
+    bad = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+    for i in bad:
+        vals[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return alg, np.array(vals).reshape(shape)
 
 
 finite_p = st.floats(1.0, 20.0, allow_nan=False)
@@ -156,6 +172,20 @@ class TestNormAxioms:
         lam_a, lam_b = eigenvalues(a), eigenvalues(b)
         bound = float(np.sort(lam_a) @ np.sort(lam_b))
         assert inner_product(a, b) <= bound * (1.0 + 1e-9) + 1e-9
+
+
+class TestNonFiniteRejected:
+    @given(non_finite_arrays(lambda alg: (alg.dim,)))
+    def test_element(self, case):
+        alg, coords = case
+        with pytest.raises(NonFiniteInputError):
+            Element(alg, coords)
+
+    @given(non_finite_arrays(lambda alg: (alg.dim, alg.dim)))
+    def test_linear_map(self, case):
+        alg, matrix = case
+        with pytest.raises(NonFiniteInputError):
+            LinearMap(alg, matrix)
 
 
 class TestExponentLaws:

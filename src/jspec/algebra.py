@@ -1,14 +1,14 @@
 """Euclidean Jordan algebras as direct sums of simple factors.
 
-Supported factors: the real line, spin factors, real symmetric matrices,
-and complex Hermitian matrices. Every factor exposes an orthonormal
+Supported factors: blocks of real lines, spin factors, real symmetric
+matrices, and complex Hermitian matrices. Every factor exposes an orthonormal
 coordinate chart for the trace inner product, so <a, b> is the plain
 Euclidean dot product of chart coordinates and adjoints of linear maps
 are transposes.
 
 Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 
-* RealLine       -- one coordinate, the element itself.
+* RealLines(k)   -- k coordinates, the element itself.
 * Spin(m)        -- natural element (x0, xbar) in R x R^{m-1} stored as
                     sqrt(2) * (x0, xbar).
 * SymMatrix(k)   -- upper triangle in row-major order, off-diagonal
@@ -18,10 +18,11 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 
 Factor protocol: besides its chart (unit_coords, trace_vector, jordan),
 every factor has decomp(u) -> dec, eigenvalues(dec), rebuild(dec, lam),
-frame(dec) and random_frame(rng), plus eigvals(u), the descending
-eigenvalues of u computed without the Jordan frame. Norms and trace
-inequalities need only eigenvalues, so they use eigvals and never pay for
-eigenvectors.
+frame(dec) and random_frame(rng), plus eigvals(u), the eigenvalues of u
+computed without the Jordan frame. A RealLines block gives them in chart
+order (they are its coordinates); every other factor gives them
+descending. Norms and trace inequalities need only eigenvalues, so they
+use eigvals and never pay for eigenvectors.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -40,18 +41,25 @@ from .errors import DescriptorError
 _SQRT2 = math.sqrt(2.0)
 
 
-class RealLine:
-    """The one-dimensional algebra R with ordinary multiplication."""
+class RealLines:
+    """R^k with coordinatewise multiplication: k real lines in one factor.
+    The Jordan frame is the standard basis, so the eigenvalues are the
+    coordinates themselves, in chart order."""
 
     kind = "rn"
-    dim = 1
-    rank = 1
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise DescriptorError(f"rn factor needs size >= 1, got {k}")
+        self.k = k
+        self.dim = k
+        self.rank = k
 
     def unit_coords(self) -> np.ndarray:
-        return np.ones(1)
+        return np.ones(self.k)
 
     def trace_vector(self) -> np.ndarray:
-        return np.ones(1)
+        return np.ones(self.k)
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return u * v
@@ -66,23 +74,22 @@ class RealLine:
         return dec
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        return np.array(lam, copy=True)
+        return lam
 
     def frame(self, dec) -> np.ndarray:
-        shape = dec.shape[:-1] + (1, 1)
-        return np.ones(shape)
+        return np.broadcast_to(np.eye(self.k), dec.shape[:-1] + (self.k, self.k))
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        return np.ones((1, 1))
+        return np.eye(self.k)
 
     def __repr__(self):
-        return "RealLine()"
+        return f"RealLines({self.k})"
 
     def __eq__(self, other):
-        return isinstance(other, RealLine)
+        return isinstance(other, RealLines) and other.k == self.k
 
     def __hash__(self):
-        return hash(self.kind)
+        return hash((self.kind, self.k))
 
 
 class Spin:
@@ -326,7 +333,7 @@ class HermMatrix:
         return hash((self.kind, self.k))
 
 
-SimpleFactor = RealLine | Spin | SymMatrix | HermMatrix
+SimpleFactor = RealLines | Spin | SymMatrix | HermMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,21 +374,10 @@ class Algebra:
 
     @property
     def descriptor(self) -> str:
-        """Canonical descriptor string; consecutive real lines merge to rn:N."""
-        toks = []
-        run = 0
-        for f in self.factors:
-            if isinstance(f, RealLine):
-                run += 1
-                continue
-            if run:
-                toks.append(f"rn:{run}")
-                run = 0
-            size = f.m if isinstance(f, Spin) else f.k
-            toks.append(f"{f.kind}:{size}")
-        if run:
-            toks.append(f"rn:{run}")
-        return ",".join(toks)
+        """Canonical descriptor string, one kind:size token per factor."""
+        return ",".join(
+            f"{f.kind}:{f.m if isinstance(f, Spin) else f.k}" for f in self.factors
+        )
 
     # -- batched kernels ------------------------------------------------
 
@@ -407,9 +403,9 @@ class Algebra:
         )
 
     def eigenvalues(self, coords: np.ndarray) -> np.ndarray:
-        """Eigenvalue vector per batch entry, factor-concatenated (each
-        factor's block descending); not globally sorted. Computes no
-        Jordan frame."""
+        """Eigenvalue vector per batch entry, factor-concatenated: an rn
+        block in chart order, every other block descending; not globally
+        sorted. Computes no Jordan frame."""
         return np.concatenate(
             [f.eigvals(coords[..., sl]) for f, sl in zip(self.factors, self.slices)], axis=-1
         )
@@ -458,7 +454,9 @@ def parse_algebra(descriptor: str) -> Algebra:
         if size < 1:
             raise DescriptorError(f"factor size must be positive in {tok!r}")
         if kind == "rn":
-            factors.extend(RealLine() for _ in range(size))
+            if factors and isinstance(factors[-1], RealLines):
+                size += factors.pop().k
+            factors.append(RealLines(size))
         elif kind == "spin":
             factors.append(Spin(size))
         elif kind == "sym":

@@ -24,7 +24,7 @@ re-estimating everything with more restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .elements import (
     p_norm,
     spectral_decomposition,
 )
-from .errors import DegenerateInputError, UnsupportedCaseError
+from .errors import DegenerateInputError, NonFiniteInputError, UnsupportedCaseError
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
 from .linmaps import _SQRT8, EstimatorConfig, LinearMap, estimate_many, op_norm_estimate
 from .reports import exponent_to_json
@@ -62,6 +62,8 @@ class ComplexElement:
         c = np.asarray(self.coords, dtype=complex)
         if c.shape != (self.algebra.dim,):
             raise ValueError(f"coords must have shape ({self.algebra.dim},)")
+        if not np.isfinite(c).all():
+            raise NonFiniteInputError("complex element coords must be finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
@@ -169,25 +171,11 @@ class BoundReport:
     seeds: dict
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "algebra": self.algebra,
-            "exponents": dict(self.exponents),
-            "theta": self.theta,
-            "lhs_lower": self.lhs_lower,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "margin": self.margin,
-            "violated": self.violated,
-            "seeds": dict(self.seeds),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "BoundReport":
-        return cls(**{k: d[k] for k in (
-            "theorem", "algebra", "exponents", "theta", "lhs_lower",
-            "rhs", "constant", "margin", "violated", "seeds",
-        )})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _estimates(t: LinearMap, pairs: tuple, cfg: EstimatorConfig) -> list[float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ReportError
@@ -35,11 +35,6 @@ SUITE_IDS = (
 )
 
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
-
-_CONFIG_KEYS = (
-    "suite", "algebra", "trials", "seed", "grid",
-    "restarts", "max_iters", "tol", "starts", "n",
-)
 
 
 def exponent_to_json(value: float):
@@ -66,6 +61,17 @@ class CampaignConfig:
     n: int = 2  # vector dimension (cp-table, clarkson aggregation)
 
     def __post_init__(self):
+        for name in ("suite", "algebra"):
+            if not isinstance(getattr(self, name), str):
+                raise ReportError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("trials", "seed", "restarts", "max_iters", "starts", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ReportError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ReportError(f"tol must be a real number, got {self.tol!r}")
+        if not isinstance(self.grid, (list, tuple)):
+            raise ReportError(f"grid must be a list of exponents, got {self.grid!r}")
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
         for name in ("trials", "restarts", "max_iters", "starts"):
@@ -79,7 +85,7 @@ class CampaignConfig:
             raise ReportError(f"tol must be finite and >= 0, got {self.tol}")
         try:
             grid = tuple(ExtExponent.coerce(p).value for p in self.grid)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ReportError(f"bad grid exponent: {exc}") from None
         if not grid:
             raise ReportError("grid must be nonempty")
@@ -90,29 +96,17 @@ class CampaignConfig:
         return tuple(ExtExponent(p) for p in self.grid)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "algebra": self.algebra,
-            "trials": self.trials,
-            "seed": self.seed,
-            "grid": [exponent_to_json(p) for p in self.grid],
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "starts": self.starts,
-            "n": self.n,
-        }
+        return {**asdict(self), "grid": [exponent_to_json(p) for p in self.grid]}
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignConfig":
-        unknown = set(d) - set(_CONFIG_KEYS)
+        keys = {f.name for f in fields(cls)}
+        unknown = set(d) - keys
         if unknown:
             raise ReportError(f"unknown config fields: {sorted(unknown)}")
-        missing = set(_CONFIG_KEYS) - set(d)
+        missing = keys - set(d)
         if missing:
             raise ReportError(f"missing config fields: {sorted(missing)}")
-        d = dict(d)
-        d["grid"] = tuple(exponent_from_json(p) for p in d["grid"])
         return cls(**d)
 
 

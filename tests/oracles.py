@@ -145,13 +145,12 @@ def herm_dense_to_chart(a, k):
 
 
 def _factor_size(factor):
-    if factor.kind == "rn":
-        return 1
     return factor.m if factor.kind == "spin" else factor.k
 
 
 def factor_eigenvalues(kind, size, block):
-    """Eigenvalues (descending) of one factor block of chart coordinates."""
+    """Eigenvalues of one factor block of chart coordinates: an rn block
+    in chart order, every other block descending."""
     block = np.asarray(block, dtype=float)
     if kind == "rn":
         return block.copy()
@@ -169,7 +168,8 @@ def factor_eigenvalues(kind, size, block):
 
 
 def oracle_eigenvalues(alg, coords):
-    """Factor-concatenated eigenvalues (each block descending), matching
+    """Factor-concatenated eigenvalues (rn blocks in chart order, every
+    other block descending), matching
     the production layout, computed entirely through the oracle route."""
     coords = np.asarray(coords, dtype=float)
     out = []
@@ -218,7 +218,7 @@ def oracle_inner(alg, u, v):
     for f, sl in zip(alg.factors, alg.slices):
         ub, vb = u[sl], v[sl]
         if f.kind == "rn":
-            total += float(ub[0] * vb[0])
+            total += float(ub @ vb)
         elif f.kind == "spin":
             # tr(x o y) = 2 (x0 y0 + xbar . ybar) in natural coordinates
             x0, xb = ub[0] / _SQRT2, ub[1:] / _SQRT2

@@ -9,7 +9,7 @@ from jspec import (
     Algebra,
     DescriptorError,
     HermMatrix,
-    RealLine,
+    RealLines,
     Spin,
     SymMatrix,
     parse_algebra,
@@ -44,6 +44,14 @@ class TestParsing:
 
     def test_real_lines_merge_in_descriptor(self):
         assert parse_algebra("rn:2,rn:3").descriptor == "rn:5"
+        assert parse_algebra("rn:2,rn:3").factors == (RealLines(5),)
+        assert len(parse_algebra("rn:1000").factors) == 1
+
+    def test_separated_real_lines_stay_apart(self):
+        alg = parse_algebra("rn:2,spin:3,rn:1")
+        assert alg.factors == (RealLines(2), Spin(3), RealLines(1))
+        assert parse_algebra(alg.descriptor) == alg
+        assert alg.descriptor == "rn:2,spin:3,rn:1"
 
     def test_whitespace_and_case_tolerated(self):
         assert parse_algebra(" SYM:2 , spin:3 ").descriptor == "sym:2,spin:3"
@@ -63,7 +71,8 @@ class TestParsing:
         assert Spin(4) == Spin(4) and hash(Spin(4)) == hash(Spin(4))
         assert Spin(4) != Spin(5)
         assert SymMatrix(2) != HermMatrix(2)
-        assert RealLine() == RealLine()
+        assert RealLines(3) == RealLines(3) != RealLines(2)
+        assert hash(RealLines(3)) == hash(RealLines(3))
         assert parse_algebra("sym:3") == parse_algebra("sym:3")
 
 
@@ -177,9 +186,15 @@ class TestEigenvalueKernel:
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_blocks_descending(self, algebra, rng):
-        lam = algebra.eigenvalues(self._batch(algebra, rng))
-        for rsl in algebra.rank_slices:
-            assert np.all(np.diff(lam[..., rsl], axis=-1) <= 0.0)
+        """An rn block is its chart coordinates in chart order; every other
+        block is descending."""
+        x = self._batch(algebra, rng)
+        lam = algebra.eigenvalues(x)
+        for f, sl, rsl in zip(algebra.factors, algebra.slices, algebra.rank_slices):
+            if isinstance(f, RealLines):
+                assert np.array_equal(lam[..., rsl], x[..., sl])
+            else:
+                assert np.all(np.diff(lam[..., rsl], axis=-1) <= 0.0)
 
     @pytest.mark.parametrize("desc", ["rn:6", "spin:5", "spin:2", "rn:2,spin:3,rn:1"])
     def test_spin_and_rn_bitwise(self, desc, rng):

@@ -1,10 +1,11 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 
+import hashlib
 import json
 
 import pytest
 
-from jspec import load_report
+from jspec import load_report, reports
 from jspec.cli import main
 
 
@@ -126,6 +127,16 @@ class TestReplay:
         out.write_text(json.dumps(data))
         assert run_cli("replay", str(out)) == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_replay_bad_config_type_exit_two(self, tmp_path, capsys):
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["config"]["trials"] = "3"
+        payload = {k: v for k, v in data.items() if k not in ("wall_time", "checksum")}
+        data["checksum"] = hashlib.sha256(reports._canonical(payload)).hexdigest()
+        out.write_text(json.dumps(data))
+        assert run_cli("replay", str(out)) == 2
+        assert "trials must be an integer" in capsys.readouterr().err
 
     def test_replay_missing_file_exit_two(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "absent.json")) == 2

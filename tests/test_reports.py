@@ -49,6 +49,27 @@ class TestCampaignConfig:
         with pytest.raises((ReportError, ValueError)):
             CampaignConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"trials": "3"},
+            {"seed": 1.0},
+            {"restarts": True},
+            {"max_iters": None},
+            {"starts": "200"},
+            {"n": 2.0},
+            {"tol": "1e-10"},
+            {"tol": False},
+            {"algebra": 3},
+            {"suite": ["ftvn"]},
+            {"grid": "12"},
+            {"grid": [{}]},
+        ],
+    )
+    def test_field_types(self, kw):
+        with pytest.raises(ReportError):
+            CampaignConfig(**{"suite": "ftvn", **kw})
+
     def test_json_round_trip(self):
         cfg = CampaignConfig(suite="theorem2", algebra="spin:4", trials=7, seed=9, grid=(1, "inf"))
         again = CampaignConfig.from_json(cfg.to_json())

@@ -16,13 +16,17 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 * HermMatrix(k)  -- k real diagonal entries, then for each i<j the pair
                     (sqrt(2)*Re A_ij, sqrt(2)*Im A_ij) in row-major order.
 
-Factor protocol: besides its chart (unit_coords, trace_vector, jordan),
-every factor has decomp(u) -> dec, eigenvalues(dec), rebuild(dec, lam),
-frame(dec) and random_frame(rng), plus eigvals(u), the eigenvalues of u
-computed without the Jordan frame. A RealLines block gives them in chart
-order (they are its coordinates); every other factor gives them
-descending. Norms and trace inequalities need only eigenvalues, so they
-use eigvals and never pay for eigenvectors.
+Factor protocol: every factor has a kind, a descriptor size, dim and
+rank, and the kernels unit_coords(), jordan(u, v), decomp(u) ->
+(eigenvalues, basis), eigvals(u), rebuild(dec, lam), frame(dec) and
+random_frame(rng). eigvals(u) is decomp(u)[0] computed without the Jordan
+frame; norms and trace inequalities need only eigenvalues, so they never
+pay for eigenvectors. A RealLines block gives its eigenvalues in chart
+order (they are its coordinates, and its basis is None); every other
+factor gives them descending. The trace is tr(a) = <a, e>, so no factor
+carries a separate trace vector. Real symmetric and complex Hermitian
+matrices are one family, Herm_k(F), and share _MatrixFactor; only the
+scalar field and the chart differ.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -41,7 +45,29 @@ from .errors import DescriptorError
 _SQRT2 = math.sqrt(2.0)
 
 
-class RealLines:
+class _Factor:
+    """What every factor shares: its kind, its descriptor size (checked
+    against min_size), and equality, hashing and repr by type and size."""
+
+    kind: str
+    min_size = 1
+
+    def __init__(self, size: int):
+        if size < self.min_size:
+            raise DescriptorError(f"{self.kind} factor needs size >= {self.min_size}, got {size}")
+        self.size = size
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.size})"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.size == self.size
+
+    def __hash__(self):
+        return hash((self.kind, self.size))
+
+
+class RealLines(_Factor):
     """R^k with coordinatewise multiplication: k real lines in one factor.
     The Jordan frame is the standard basis, so the eigenvalues are the
     coordinates themselves, in chart order."""
@@ -49,71 +75,48 @@ class RealLines:
     kind = "rn"
 
     def __init__(self, k: int):
-        if k < 1:
-            raise DescriptorError(f"rn factor needs size >= 1, got {k}")
-        self.k = k
-        self.dim = k
-        self.rank = k
+        super().__init__(k)
+        self.dim = self.rank = k
 
     def unit_coords(self) -> np.ndarray:
-        return np.ones(self.k)
-
-    def trace_vector(self) -> np.ndarray:
-        return np.ones(self.k)
+        return np.ones(self.size)
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return u * v
 
     def decomp(self, u: np.ndarray):
-        return u
+        return u, None
 
     def eigvals(self, u: np.ndarray) -> np.ndarray:
         return u
-
-    def eigenvalues(self, dec) -> np.ndarray:
-        return dec
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
         return lam
 
     def frame(self, dec) -> np.ndarray:
-        return np.broadcast_to(np.eye(self.k), dec.shape[:-1] + (self.k, self.k))
+        k = self.size
+        return np.broadcast_to(np.eye(k), dec[0].shape[:-1] + (k, k))
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        return np.eye(self.k)
-
-    def __repr__(self):
-        return f"RealLines({self.k})"
-
-    def __eq__(self, other):
-        return isinstance(other, RealLines) and other.k == self.k
-
-    def __hash__(self):
-        return hash((self.kind, self.k))
+        return np.eye(self.size)
 
 
-class Spin:
+class Spin(_Factor):
     """Spin factor on R^m: (x0, xbar) o (y0, ybar) = (x0 y0 + xbar.ybar,
     x0 ybar + y0 xbar). Rank 2, eigenvalues x0 +/- |xbar|."""
 
     kind = "spin"
+    min_size = 2
     rank = 2
 
     def __init__(self, m: int):
-        if m < 2:
-            raise DescriptorError(f"spin factor needs dimension >= 2, got {m}")
-        self.m = m
+        super().__init__(m)
         self.dim = m
 
     def unit_coords(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[0] = _SQRT2
         return e
-
-    def trace_vector(self) -> np.ndarray:
-        t = np.zeros(self.dim)
-        t[0] = _SQRT2
-        return t
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u0, ub = u[..., :1], u[..., 1:]
@@ -136,77 +139,46 @@ class Spin:
         w[..., 0] = 1.0
         if np.any(safe):
             w = np.where(safe[..., None], np.divide(xb, np.where(safe, rho, 1.0)[..., None]), w)
-        return x0, rho, w
-
-    def eigenvalues(self, dec) -> np.ndarray:
-        x0, rho, _ = dec
-        return np.stack([x0 + rho, x0 - rho], axis=-1)
+        return np.stack([x0 + rho, x0 - rho], axis=-1), w
 
     def eigvals(self, u: np.ndarray) -> np.ndarray:
         x0, _, rho = self._center_radius(u)
         return np.stack([x0 + rho, x0 - rho], axis=-1)
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        _, _, w = dec
+        w = dec[1]
         x0 = (lam[..., 0] + lam[..., 1]) / 2.0
         xb = w * ((lam[..., 0] - lam[..., 1]) / 2.0)[..., None]
         return np.concatenate([x0[..., None], xb], axis=-1) * _SQRT2
 
     def frame(self, dec) -> np.ndarray:
         """Both primitive idempotents, shape (..., 2, dim)."""
-        _, _, w = dec
+        w = dec[1]
         ones = np.ones(w.shape[:-1] + (1,))
         c_plus = np.concatenate([ones, w], axis=-1) / _SQRT2
         c_minus = np.concatenate([ones, -w], axis=-1) / _SQRT2
         return np.stack([c_plus, c_minus], axis=-2)
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        w = rng.standard_normal(self.m - 1)
+        w = rng.standard_normal(self.dim - 1)
         w /= np.linalg.norm(w)
         ones = np.ones(1)
         return np.stack([np.concatenate([ones, w]), np.concatenate([ones, -w])]) / _SQRT2
 
-    def __repr__(self):
-        return f"Spin({self.m})"
 
-    def __eq__(self, other):
-        return isinstance(other, Spin) and other.m == self.m
+class _MatrixFactor(_Factor):
+    """Self-adjoint k x k matrices over the scalar field `field` (float or
+    complex) with the symmetrized product (XY+YX)/2. Subclasses give the
+    chart: dim, to_dense and from_dense."""
 
-    def __hash__(self):
-        return hash((self.kind, self.m))
-
-
-class SymMatrix:
-    """Real symmetric k x k matrices with the symmetrized product (XY+YX)/2."""
-
-    kind = "sym"
+    field: type
 
     def __init__(self, k: int):
-        if k < 1:
-            raise DescriptorError(f"sym factor needs size >= 1, got {k}")
-        self.k = k
+        super().__init__(k)
         self.rank = k
-        self.dim = k * (k + 1) // 2
-        self._iu = np.triu_indices(k)
-        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, _SQRT2)
-
-    def to_dense(self, u: np.ndarray) -> np.ndarray:
-        x = np.zeros(u.shape[:-1] + (self.k, self.k))
-        vals = u / self._scale
-        x[..., self._iu[0], self._iu[1]] = vals
-        x[..., self._iu[1], self._iu[0]] = vals
-        return x
-
-    def from_dense(self, x: np.ndarray) -> np.ndarray:
-        return x[..., self._iu[0], self._iu[1]] * self._scale
 
     def unit_coords(self) -> np.ndarray:
-        return self.from_dense(np.eye(self.k))
-
-    def trace_vector(self) -> np.ndarray:
-        t = np.zeros(self.dim)
-        t[self._iu[0] == self._iu[1]] = 1.0
-        return t
+        return self.from_dense(np.eye(self.size, dtype=self.field))
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         x, y = self.to_dense(u), self.to_dense(v)
@@ -216,56 +188,64 @@ class SymMatrix:
         lam, q = np.linalg.eigh(self.to_dense(u))
         return lam[..., ::-1], q[..., :, ::-1]  # descending
 
-    def eigenvalues(self, dec) -> np.ndarray:
-        return dec[0]
-
     def eigvals(self, u: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
         q = dec[1]
-        x = np.einsum("...ik,...k,...jk->...ij", q, lam, q)
-        return self.from_dense(x)
+        return self.from_dense(np.einsum("...ik,...k,...jk->...ij", q, lam, q.conj()))
 
     def frame(self, dec) -> np.ndarray:
         q = dec[1]
-        proj = np.einsum("...ij,...kj->...jik", q, q)  # (..., rank, k, k)
-        return self.from_dense(proj)
+        return self.from_dense(np.einsum("...ij,...kj->...jik", q, q.conj()))  # (..., rank, k, k)
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal((self.k, self.k))
+        k = self.size
+        g = rng.standard_normal((k, k))
+        if self.field is complex:
+            g = g + 1j * rng.standard_normal((k, k))
         q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diagonal(r))
-        proj = np.einsum("ij,kj->jik", q, q)
-        return self.from_dense(proj)
-
-    def __repr__(self):
-        return f"SymMatrix({self.k})"
-
-    def __eq__(self, other):
-        return isinstance(other, SymMatrix) and other.k == self.k
-
-    def __hash__(self):
-        return hash((self.kind, self.k))
+        d = np.diagonal(r)
+        return self.frame((None, q * (d / np.abs(d))))
 
 
-class HermMatrix:
-    """Complex Hermitian k x k matrices with the symmetrized product."""
+class SymMatrix(_MatrixFactor):
+    """Real symmetric k x k matrices."""
 
-    kind = "herm"
+    kind = "sym"
+    field = float
 
     def __init__(self, k: int):
-        if k < 1:
-            raise DescriptorError(f"herm factor needs size >= 1, got {k}")
-        self.k = k
-        self.rank = k
-        self.dim = k * k
-        iu = np.triu_indices(k, 1)
-        self._iu = iu
-        self._n_off = iu[0].size
+        super().__init__(k)
+        self.dim = k * (k + 1) // 2
+        self._iu = np.triu_indices(k)
+        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, _SQRT2)
 
     def to_dense(self, u: np.ndarray) -> np.ndarray:
-        k = self.k
+        x = np.zeros(u.shape[:-1] + (self.size, self.size))
+        vals = u / self._scale
+        x[..., self._iu[0], self._iu[1]] = vals
+        x[..., self._iu[1], self._iu[0]] = vals
+        return x
+
+    def from_dense(self, x: np.ndarray) -> np.ndarray:
+        return x[..., self._iu[0], self._iu[1]] * self._scale
+
+
+class HermMatrix(_MatrixFactor):
+    """Complex Hermitian k x k matrices."""
+
+    kind = "herm"
+    field = complex
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self.dim = k * k
+        self._iu = np.triu_indices(k, 1)
+        self._n_off = self._iu[0].size
+
+    def to_dense(self, u: np.ndarray) -> np.ndarray:
+        k = self.size
         a = np.zeros(u.shape[:-1] + (k, k), dtype=complex)
         diag = u[..., :k]
         re = u[..., k : k + self._n_off] / _SQRT2
@@ -276,64 +256,12 @@ class HermMatrix:
         return a
 
     def from_dense(self, a: np.ndarray) -> np.ndarray:
-        k = self.k
+        k = self.size
         diag = a[..., np.arange(k), np.arange(k)].real
         off = a[..., self._iu[0], self._iu[1]]
         return np.concatenate(
             [diag, off.real * _SQRT2, off.imag * _SQRT2], axis=-1
         )
-
-    def unit_coords(self) -> np.ndarray:
-        return self.from_dense(np.eye(self.k, dtype=complex))
-
-    def trace_vector(self) -> np.ndarray:
-        t = np.zeros(self.dim)
-        t[: self.k] = 1.0
-        return t
-
-    def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x, y = self.to_dense(u), self.to_dense(v)
-        return self.from_dense((x @ y + y @ x) / 2.0)
-
-    def decomp(self, u: np.ndarray):
-        lam, q = np.linalg.eigh(self.to_dense(u))
-        return lam[..., ::-1], q[..., :, ::-1]
-
-    def eigenvalues(self, dec) -> np.ndarray:
-        return dec[0]
-
-    def eigvals(self, u: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
-
-    def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        q = dec[1]
-        a = np.einsum("...ik,...k,...jk->...ij", q, lam, q.conj())
-        return self.from_dense(a)
-
-    def frame(self, dec) -> np.ndarray:
-        q = dec[1]
-        proj = np.einsum("...ij,...kj->...jik", q, q.conj())
-        return self.from_dense(proj)
-
-    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal((self.k, self.k)) + 1j * rng.standard_normal((self.k, self.k))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        proj = np.einsum("ij,kj->jik", q, q.conj())
-        return self.from_dense(proj)
-
-    def __repr__(self):
-        return f"HermMatrix({self.k})"
-
-    def __eq__(self, other):
-        return isinstance(other, HermMatrix) and other.k == self.k
-
-    def __hash__(self):
-        return hash((self.kind, self.k))
-
-
-SimpleFactor = RealLines | Spin | SymMatrix | HermMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,9 +287,9 @@ class Algebra:
             "rank_slices",
             tuple(slice(int(a), int(b)) for a, b in zip(roffs[:-1], roffs[1:])),
         )
-        tvec = np.concatenate([f.trace_vector() for f in self.factors])
-        tvec.flags.writeable = False
-        object.__setattr__(self, "_trace_vec", tvec)
+        unit = self.unit_coords()
+        unit.flags.writeable = False
+        object.__setattr__(self, "_unit", unit)
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.factors == other.factors
@@ -375,9 +303,7 @@ class Algebra:
     @property
     def descriptor(self) -> str:
         """Canonical descriptor string, one kind:size token per factor."""
-        return ",".join(
-            f"{f.kind}:{f.m if isinstance(f, Spin) else f.k}" for f in self.factors
-        )
+        return ",".join(f"{f.kind}:{f.size}" for f in self.factors)
 
     # -- batched kernels ------------------------------------------------
 
@@ -385,7 +311,8 @@ class Algebra:
         return np.concatenate([f.unit_coords() for f in self.factors])
 
     def trace(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self._trace_vec
+        """tr(a) = <a, e>."""
+        return coords @ self._unit
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u, v = np.broadcast_arrays(u, v)
@@ -398,9 +325,7 @@ class Algebra:
         return [f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)]
 
     def eigenvalues_from(self, decs: list) -> np.ndarray:
-        return np.concatenate(
-            [f.eigenvalues(d) for f, d in zip(self.factors, decs)], axis=-1
-        )
+        return np.concatenate([d[0] for d in decs], axis=-1)
 
     def eigenvalues(self, coords: np.ndarray) -> np.ndarray:
         """Eigenvalue vector per batch entry, factor-concatenated: an rn
@@ -420,9 +345,7 @@ class Algebra:
     def frame_coords(self, decs: list) -> np.ndarray:
         """All primitive idempotents, shape (..., rank, dim); block j holds
         zeros outside its own factor."""
-        lead = np.broadcast_shapes(
-            *[np.asarray(f.eigenvalues(d)).shape[:-1] for f, d in zip(self.factors, decs)]
-        )
+        lead = np.broadcast_shapes(*[d[0].shape[:-1] for d in decs])
         out = np.zeros(lead + (self.rank, self.dim))
         for f, d, sl, rsl in zip(self.factors, decs, self.slices, self.rank_slices):
             out[..., rsl, sl] = f.frame(d)
@@ -455,7 +378,7 @@ def parse_algebra(descriptor: str) -> Algebra:
             raise DescriptorError(f"factor size must be positive in {tok!r}")
         if kind == "rn":
             if factors and isinstance(factors[-1], RealLines):
-                size += factors.pop().k
+                size += factors.pop().size
             factors.append(RealLines(size))
         elif kind == "spin":
             factors.append(Spin(size))

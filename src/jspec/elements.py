@@ -164,10 +164,3 @@ def random_element(
         )
     frame = alg.random_frame(rng)
     return Element(alg, lam @ frame)
-
-
-def random_batch(
-    alg: Algebra, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """n gaussian coordinate rows, shape (n, dim)."""
-    return rng.standard_normal((n, alg.dim))

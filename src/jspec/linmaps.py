@@ -103,8 +103,8 @@ def congruence(a_mat: np.ndarray, alg: Algebra) -> LinearMap:
         raise UnsupportedCaseError("congruence needs an algebra with a single sym:k factor")
     fac = alg.factors[0]
     a_mat = np.asarray(a_mat, dtype=float)
-    if a_mat.shape != (fac.k, fac.k):
-        raise ValueError(f"matrix must be {fac.k} x {fac.k}")
+    if a_mat.shape != (fac.size, fac.size):
+        raise ValueError(f"matrix must be {fac.size} x {fac.size}")
     basis = fac.to_dense(np.eye(alg.dim))
     out = a_mat @ basis @ a_mat.T
     return LinearMap(alg, fac.from_dense(out).T)
@@ -196,10 +196,10 @@ def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
     For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q
     (q conjugate to p), built in c's Jordan frame. Second return value
     flags rows with a nonzero spectrum; zero rows yield zero output.
+    The one-problem case of _peak_stack.
     """
-    decs = alg.decomp(coords)
-    lam_new, ok = _peak_spectrum(alg.eigenvalues_from(decs), p)
-    return alg.rebuild(decs, lam_new), ok
+    d, ok = _peak_stack(alg, coords[None], [p])
+    return d[0], ok[0]
 
 
 def _peak_stack(alg: Algebra, x: np.ndarray, exps: list):

@@ -41,10 +41,6 @@ def exponent_to_json(value: float):
     return "inf" if math.isinf(value) else value
 
 
-def exponent_from_json(value) -> float:
-    return ExtExponent.coerce(value).value
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything needed to reproduce one suite run."""

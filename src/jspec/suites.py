@@ -244,7 +244,7 @@ def _positive_map(cfg: CampaignConfig, alg: Algebra, trial: int) -> tuple[str, L
     if trial % 2 == 0:
         return "quadratic", quadratic_rep(random_element(alg, rng))
     if single_sym:
-        k = alg.factors[0].k
+        k = alg.factors[0].size
         return "congruence", congruence(rng.standard_normal((k, k)), alg)
     return "doubly-stochastic", random_doubly_stochastic(alg, rng)
 

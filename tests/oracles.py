@@ -144,10 +144,6 @@ def herm_dense_to_chart(a, k):
 # -- per-factor oracles ---------------------------------------------------
 
 
-def _factor_size(factor):
-    return factor.m if factor.kind == "spin" else factor.k
-
-
 def factor_eigenvalues(kind, size, block):
     """Eigenvalues of one factor block of chart coordinates: an rn block
     in chart order, every other block descending."""
@@ -174,7 +170,7 @@ def oracle_eigenvalues(alg, coords):
     coords = np.asarray(coords, dtype=float)
     out = []
     for f, sl in zip(alg.factors, alg.slices):
-        out.append(factor_eigenvalues(f.kind, _factor_size(f), coords[sl]))
+        out.append(factor_eigenvalues(f.kind, f.size, coords[sl]))
     return np.concatenate(out)
 
 
@@ -206,7 +202,7 @@ def oracle_jordan(alg, u, v):
     v = np.asarray(v, dtype=float)
     out = np.empty(alg.dim)
     for f, sl in zip(alg.factors, alg.slices):
-        out[sl] = factor_jordan(f.kind, _factor_size(f), u[sl], v[sl])
+        out[sl] = factor_jordan(f.kind, f.size, u[sl], v[sl])
     return out
 
 
@@ -225,11 +221,11 @@ def oracle_inner(alg, u, v):
             y0, yb = vb[0] / _SQRT2, vb[1:] / _SQRT2
             total += 2.0 * float(x0 * y0 + xb @ yb)
         elif f.kind == "sym":
-            x = sym_chart_to_dense(ub, f.k)
-            y = sym_chart_to_dense(vb, f.k)
+            x = sym_chart_to_dense(ub, f.size)
+            y = sym_chart_to_dense(vb, f.size)
             total += float(np.trace(x @ y))
         else:
-            x = herm_chart_to_dense(ub, f.k)
-            y = herm_chart_to_dense(vb, f.k)
+            x = herm_chart_to_dense(ub, f.size)
+            y = herm_chart_to_dense(vb, f.size)
             total += float(np.trace(x @ y).real)
     return total

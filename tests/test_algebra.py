@@ -73,7 +73,17 @@ class TestParsing:
         assert SymMatrix(2) != HermMatrix(2)
         assert RealLines(3) == RealLines(3) != RealLines(2)
         assert hash(RealLines(3)) == hash(RealLines(3))
+        assert Spin(3) != RealLines(3)
+        assert repr(HermMatrix(2)) == "HermMatrix(2)"
+        assert SymMatrix(3).size == 3
         assert parse_algebra("sym:3") == parse_algebra("sym:3")
+
+    @pytest.mark.parametrize(
+        "factor,size", [(RealLines, 0), (SymMatrix, 0), (HermMatrix, 0), (Spin, 1)]
+    )
+    def test_direct_construction_checks_size(self, factor, size):
+        with pytest.raises(DescriptorError):
+            factor(size)
 
 
 class TestChart:
@@ -92,7 +102,7 @@ class TestChart:
 
     def test_trace_is_inner_with_unit(self, algebra, rng):
         u = rng.standard_normal(algebra.dim)
-        assert algebra.trace(u) == pytest.approx(float(u @ algebra.unit_coords()), abs=1e-12)
+        assert algebra.trace(u) == float(u @ algebra.unit_coords())
 
 
 class TestJordanKernel:
@@ -195,6 +205,15 @@ class TestEigenvalueKernel:
                 assert np.array_equal(lam[..., rsl], x[..., sl])
             else:
                 assert np.all(np.diff(lam[..., rsl], axis=-1) <= 0.0)
+
+    def test_decomp_leads_with_eigenvalues(self, algebra, rng):
+        """No factor has trace_vector or eigenvalues(dec): decomp(u)[0] is
+        what Algebra.eigenvalues_from concatenates."""
+        for factor in (RealLines, Spin, SymMatrix, HermMatrix):
+            assert not hasattr(factor, "trace_vector") and not hasattr(factor, "eigenvalues")
+        u = rng.standard_normal((4, algebra.dim))
+        want = [f.decomp(u[:, sl])[0] for f, sl in zip(algebra.factors, algebra.slices)]
+        assert np.array_equal(algebra.eigenvalues_from(algebra.decomp(u)), np.concatenate(want, axis=-1))
 
     @pytest.mark.parametrize("desc", ["rn:6", "spin:5", "spin:2", "rn:2,spin:3,rn:1"])
     def test_spin_and_rn_bitwise(self, desc, rng):

@@ -20,7 +20,6 @@ from jspec import (
     unit,
     zero,
 )
-from jspec.elements import random_batch
 from oracles import oracle_eigenvalues, oracle_inner, oracle_jordan
 
 _SQRT2 = math.sqrt(2.0)
@@ -165,12 +164,6 @@ class TestSampling:
     def test_spectrum_length_validated(self, algebra):
         with pytest.raises(ValueError):
             random_element(algebra, 1, spectrum=[1.0] * (algebra.rank + 1))
-
-    def test_random_batch_shape_and_determinism(self, algebra):
-        r1 = random_batch(algebra, np.random.default_rng(5), 7)
-        r2 = random_batch(algebra, np.random.default_rng(5), 7)
-        assert r1.shape == (7, algebra.dim)
-        assert np.array_equal(r1, r2)
 
     def test_is_invertible(self, algebra):
         assert is_invertible(unit(algebra))

@@ -195,31 +195,40 @@ def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
 
     For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q
     (q conjugate to p), built in c's Jordan frame. Second return value
-    flags rows with a nonzero spectrum; zero rows yield zero output.
-    The one-problem case of _peak_stack.
+    flags nonzero rows; zero rows yield zero output. The one-exponent
+    case of _peak_stack.
     """
-    d, ok = _peak_stack(alg, coords[None], [p])
-    return d[0], ok[0]
+    return _peak_stack(alg, coords, [p], np.zeros(len(coords), dtype=int))
 
 
-def _peak_stack(alg: Algebra, x: np.ndarray, exps: list):
-    """_peak_batch over a (problems, restarts, dim) stack, where problem i
-    uses exponent exps[i]: one decomposition and one rebuild for all rows,
-    and the spectral map once per distinct exponent."""
-    n, m, d = x.shape
-    decs = alg.decomp(x.reshape(n * m, d))
-    lam = alg.eigenvalues_from(decs)
-    groups: dict = {}
-    for i, p in enumerate(exps):
-        groups.setdefault(p, []).append(i)
-    if len(groups) == 1:
-        lam_new, ok = _peak_spectrum(lam, exps[0])
-    else:
-        lam_new, ok = np.empty_like(lam), np.empty(n * m, dtype=bool)
-        for p, idx in groups.items():
-            rows = (np.array(idx)[:, None] * m + np.arange(m)).ravel()
-            lam_new[rows], ok[rows] = _peak_spectrum(lam[rows], p)
-    return alg.rebuild(decs, lam_new).reshape(n, m, d), ok.reshape(n, m)
+def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
+    """_peak_batch over rows x of shape (rows, dim), where row i uses
+    exponent exps[which[i]].
+
+    The chart is orthonormal for the trace form, so ||c||_2 is the
+    Euclidean norm of c's coordinates and the p = 2 peak is c / ||c||_2;
+    those rows need no decomposition, and a row with ||c||_2 <= _ZERO_EIG
+    is zero. All other rows share one decomposition and one rebuild, and
+    the spectral map runs once per distinct exponent.
+    """
+    d, ok = np.empty_like(x), np.empty(len(x), dtype=bool)
+    two = np.array([p.value == 2.0 for p in exps])[which]
+    if two.any():
+        nrm = np.linalg.norm(x[two], axis=-1)
+        ok[two] = nrm > _ZERO_EIG
+        d[two] = x[two] / np.where(ok[two], nrm, np.inf)[:, None]
+    rest = ~two
+    if rest.any():
+        w = which[rest]
+        decs = alg.decomp(x[rest])
+        lam = alg.eigenvalues_from(decs)
+        lam_new, ok_rest = np.empty_like(lam), np.empty(len(w), dtype=bool)
+        for k, p in enumerate(exps):
+            sel = w == k
+            if sel.any():
+                lam_new[sel], ok_rest[sel] = _peak_spectrum(lam[sel], p)
+        d[rest], ok[rest] = alg.rebuild(decs, lam_new), ok_rest
+    return d, ok
 
 
 def peak(c: Element, p: ExponentLike) -> Element:
@@ -286,12 +295,17 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     and seed (cfg None means EstimatorConfig()). All maps live on one
     algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
     problems (ValueError otherwise). The restarts of all problems form
-    one (problems, restarts, dim) stack, so each half-step costs one
-    matmul, one decomposition and one rebuild. Restart k of a problem
-    draws its own generator from (cfg.seed, k), and a problem leaves the
-    stack once all its restarts have stalled, so each result equals the
-    one the problem gets alone. Returns one estimate per problem, in
-    order; each is a valid lower bound.
+    one (problems, restarts, dim) stack. Each half-step costs one matmul
+    over the whole stack, then one decomposition and one rebuild that
+    cover only the restarts that have not stalled and whose exponent is
+    not 2 (the p = 2 peak is c / ||c||_2). A restart stalls after two
+    half-steps in a row that raise its objective by at most
+    tol * max(1, |objective|); the first half-step, which rises from
+    -inf, never counts. Restart k of a problem draws its own generator
+    from (cfg.seed, k), and a problem leaves the stack once all its
+    restarts have stalled, so each result equals the one the problem
+    gets alone. Returns one estimate per problem, in order; each is a
+    valid lower bound, and converged means its best restart stalled.
     """
     probs = [
         (t, ExtExponent.coerce(r), ExtExponent.coerce(s), cfg or EstimatorConfig())
@@ -324,10 +338,13 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     if not live:
         return out
 
-    # one leading entry per problem still in the stack
+    # one leading entry per problem still in the stack; exponents are
+    # indices into the distinct exponents of each half-step
     ids = np.array(live)
-    rex = [probs[i][1] for i in live]
-    sp = [probs[i][2].conjugate for i in live]
+    r_exps = list(dict.fromkeys(probs[i][1] for i in live))
+    sp_exps = list(dict.fromkeys(probs[i][2].conjugate for i in live))
+    r_k = np.array([r_exps.index(probs[i][1]) for i in live])
+    sp_k = np.array([sp_exps.index(probs[i][2].conjugate) for i in live])
     mats = np.stack([probs[i][0].matrix for i in live])
     a_rows = np.empty((len(live), n_restarts, alg.dim))
     starts: dict = {}  # problems on one map with one seed share their draws
@@ -337,9 +354,9 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
             rows = _starts(alg, mats[j], probs[i][3])
             starts[key] = rows, alg.eigenvalues(rows)
         rows, lam = starts[key]
-        a_rows[j] = rows / vector_pnorm(lam, rex[j])[:, None]
-    e_unit_sp = np.stack([unit_at(p) for p in sp])[:, None, :]
-    e_unit_r = np.stack([unit_at(p) for p in rex])[:, None, :]
+        a_rows[j] = rows / vector_pnorm(lam, probs[i][1])[:, None]
+    e_unit_sp = np.stack([unit_at(p) for p in sp_exps])[sp_k][:, None, :]
+    e_unit_r = np.stack([unit_at(p) for p in r_exps])[r_k][:, None, :]
     b_rows = np.repeat(e_unit_sp, n_restarts, axis=1)
     values = np.full((len(live), n_restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
@@ -347,20 +364,26 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     for it in range(max_iters):
         mats_t = mats.transpose(0, 2, 1)
         for half in (0, 1):
+            # only restarts that have not stalled are decomposed; the
+            # others take the unit fallback, and improve discards them
+            done = stall >= 2
+            idx = np.nonzero(~done)
             if half == 0:
                 ta = np.matmul(a_rows, mats_t)
-                cand, ok = _peak_stack(alg, ta, sp)
-                cand = np.where(ok[..., None], cand, e_unit_sp)
+                cand = np.repeat(e_unit_sp, n_restarts, axis=1)
+                peaks, ok = _peak_stack(alg, ta[idx], sp_exps, sp_k[idx[0]])
+                cand[idx] = np.where(ok[:, None], peaks, cand[idx])
                 vals = np.einsum("prj,prj->pr", ta, cand)
             else:
                 tb = np.matmul(b_rows, mats)
-                cand, ok = _peak_stack(alg, tb, rex)
-                cand = np.where(ok[..., None], cand, e_unit_r)
+                cand = np.repeat(e_unit_r, n_restarts, axis=1)
+                peaks, ok = _peak_stack(alg, tb[idx], r_exps, r_k[idx[0]])
+                cand[idx] = np.where(ok[:, None], peaks, cand[idx])
                 vals = np.einsum("prj,prj->pr", np.matmul(cand, mats_t), b_rows)
-            done = stall >= 2
             improve = (vals > values) & ~done
             scale = np.maximum(1.0, np.abs(values))
-            small = (vals - values) <= cfg.tol * scale
+            # the first half-step rises from -inf and is never small
+            small = np.isfinite(values) & ((vals - values) <= cfg.tol * scale)
             if half == 0:
                 b_rows[improve] = cand[improve]
             else:
@@ -384,8 +407,7 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
         ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
         values, stall = values[keep], stall[keep]
         e_unit_sp, e_unit_r = e_unit_sp[keep], e_unit_r[keep]
-        rex = [p for p, k in zip(rex, keep) if k]
-        sp = [p for p, k in zip(sp, keep) if k]
+        r_k, sp_k = r_k[keep], sp_k[keep]
     return out
 
 

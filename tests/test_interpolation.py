@@ -319,6 +319,17 @@ class TestThreeLines:
         bare = three_lines_demo(t, a, b, ExponentPair.of(1, 4, 2, 4), 0.5)
         assert bare.line0_cap is None
 
+    def test_line_caps_are_solo_estimates(self):
+        # both caps come from one estimate_many call; batching must not
+        # change them
+        t, a, b = self._instance(59)
+        pair = ExponentPair.of(1, 4, 2, 4)
+        rep = three_lines_demo(t, a, b, pair, 0.5, cfg=CFG)
+        ends = ((pair.r0, pair.s0, rep.line0_cap), (pair.r1, pair.s1, rep.line1_cap))
+        for j, (r, s, cap) in enumerate(ends):
+            want = pair.endpoint_factor(j) * op_norm_estimate(t, r, s, CFG).lower_bound
+            assert cap == pytest.approx(want, rel=1e-12)
+
     def test_rejects_noninvertible(self):
         t, a, b = self._instance(61)
         singular = random_element(SYM3, 62, spectrum=[1.0, 0.5, 0.0])

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from jspec import (
+    Algebra,
     AlgebraMismatchError,
     DegenerateInputError,
     Element,
     EstimatorConfig,
+    ExtExponent,
     LinearMap,
     UnsupportedCaseError,
     closed_form_norm,
@@ -36,9 +38,24 @@ from jspec import (
     unit,
     zero,
 )
+from jspec.linmaps import _peak_spectrum
 from oracles import sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
+
+
+@pytest.fixture()
+def decomp_rows(monkeypatch):
+    """Counts the rows handed to Algebra.decomp."""
+    counted = []
+    real = Algebra.decomp
+
+    def counting(self, coords):
+        counted.append(int(np.prod(np.shape(coords)[:-1])))
+        return real(self, coords)
+
+    monkeypatch.setattr(Algebra, "decomp", counting)
+    return counted
 
 
 class TestLinearMapBasics:
@@ -186,9 +203,15 @@ class TestPeak:
         assert inner_product(c, d) == pytest.approx(p_norm(c, conjugate(p)), rel=1e-10)
 
     def test_p2_is_normalized_element(self, algebra):
+        # the chart is orthonormal, so the p = 2 peak is c / ||c||_2 in
+        # coordinates; it must agree with the route through the Jordan frame
         c = random_element(algebra, 29)
         d = peak(c, 2)
-        assert np.allclose(d.coords, c.coords / p_norm(c, 2), atol=1e-12)
+        assert np.allclose(d.coords, c.coords / np.linalg.norm(c.coords), rtol=0.0, atol=1e-15)
+        decs = algebra.decomp(c.coords[None, :])
+        lam_new, ok = _peak_spectrum(algebra.eigenvalues_from(decs), ExtExponent(2.0))
+        assert ok[0]
+        assert np.allclose(d.coords, algebra.rebuild(decs, lam_new)[0], rtol=0.0, atol=1e-15)
 
     def test_p1_tie_breaks_to_first_in_descending_order(self):
         alg = parse_algebra("rn:2")
@@ -267,6 +290,17 @@ class TestEstimator:
             dual = op_norm_estimate(t, conjugate(s), conjugate(r), FAST).lower_bound
             assert direct == pytest.approx(dual, rel=1e-5)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, math.inf])
+    def test_first_half_step_is_not_a_stall(self, r):
+        # the identity is optimal from every start, so each restart stalls
+        # on the two half-steps after the first; the rise from -inf counts
+        # as progress, not as a stall
+        t = identity_map(parse_algebra("sym:3"))
+        est = op_norm_estimate(t, r, r, EstimatorConfig(restarts=4, max_iters=50, seed=0))
+        assert est.iterations == 2
+        assert est.converged
+        assert est.lower_bound == pytest.approx(1.0, rel=1e-12)
+
     def test_scaled_config(self):
         cfg = EstimatorConfig(restarts=8, max_iters=50, tol=1e-10, seed=3)
         wide = cfg.scaled(4, seed_offset=101)
@@ -277,7 +311,7 @@ class TestEstimator:
 
 class TestEstimateMany:
     def test_batch_matches_solo(self, algebra):
-        # p = 1, finite p and p = inf on both half-steps, a zero map, two
+        # p = 1, finite p, p = 2 and p = inf on both half-steps, a zero map, two
         # seeds, two maps and two problems sharing a map and a seed in one
         # batch; each problem must come out as it does alone
         t = random_map(algebra, 71)
@@ -291,6 +325,8 @@ class TestEstimateMany:
             (zero_map, 2, 3, cfg0),
             (lyap, math.inf, 1, cfg1),
             (lyap, 3, 1.25, cfg0),
+            (t, 2, 1.5, cfg1),
+            (lyap, 4, 2, cfg0),
         ]
         batch = estimate_many(problems)
         assert len(batch) == len(problems)
@@ -304,6 +340,23 @@ class TestEstimateMany:
                 assert np.allclose(w_got.coords, w_want.coords, rtol=0.0, atol=1e-12)
         assert batch[3].lower_bound == 0.0 and batch[3].iterations == 0
         assert any(0 < est.iterations < FAST.max_iters for est in batch)  # early exits happen
+
+    def test_p2_problems_need_no_decomposition(self, algebra, decomp_rows):
+        t = random_map(algebra, 76)
+        problems = [(t, 2, 2, FAST), (lyapunov(random_element(algebra, 77)), 2, 2, FAST)]
+        ests = estimate_many(problems)
+        assert sum(decomp_rows) == 0
+        for est, prob in zip(ests, problems):
+            assert est.lower_bound == pytest.approx(op_norm_estimate(*prob).lower_bound, rel=1e-12)
+
+    def test_stalled_restarts_are_not_decomposed(self, decomp_rows):
+        # restarts of one problem stall at different half-steps; once a
+        # restart has stalled its rows stay out of the decomposition
+        alg = parse_algebra("sym:3")
+        problems = [(random_map(alg, 78), 1.5, 3, FAST), (random_map(alg, 79), 3, 1.25, FAST)]
+        ests = estimate_many(problems)
+        stack_rows = sum(2 * FAST.restarts * est.iterations for est in ests)
+        assert 0 < sum(decomp_rows) < stack_rows
 
     @pytest.mark.parametrize("field,value", [("restarts", 8), ("max_iters", 7), ("tol", 1e-6)])
     def test_mismatched_settings_rejected(self, field, value):

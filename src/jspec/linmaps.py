@@ -30,6 +30,9 @@ from .exponents import ExponentLike, ExtExponent, cp_constant, vector_pnorm
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
 _ZERO_EIG = 1e-14
+# full iterations without a rise of a problem's best value before it
+# leaves the stack
+_PATIENCE = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +64,6 @@ class LinearMap:
     @property
     def adjoint(self) -> "LinearMap":
         return LinearMap(self.algebra, self.matrix.T)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra, self.matrix @ other.matrix)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.algebra, self.matrix + other.matrix)
@@ -257,7 +257,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class NormEstimate:
-    """Certified lower bound for ||T||_{r->s} with attaining witnesses."""
+    """Certified lower bound for ||T||_{r->s} with attaining witnesses.
+
+    stop says why the ascent ended: "zero-map", "stalled" (every restart
+    stalled), "patience" (the best value stopped rising) or "max_iters".
+    """
 
     lower_bound: float
     witness_a: Element
@@ -265,6 +269,7 @@ class NormEstimate:
     iterations: int
     restarts_used: int
     converged: bool
+    stop: str
 
 
 def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
@@ -301,11 +306,15 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     not 2 (the p = 2 peak is c / ||c||_2). A restart stalls after two
     half-steps in a row that raise its objective by at most
     tol * max(1, |objective|); the first half-step, which rises from
-    -inf, never counts. Restart k of a problem draws its own generator
-    from (cfg.seed, k), and a problem leaves the stack once all its
-    restarts have stalled, so each result equals the one the problem
-    gets alone. Returns one estimate per problem, in order; each is a
-    valid lower bound, and converged means its best restart stalled.
+    -inf, never counts. A problem leaves the stack once all its restarts
+    have stalled, once its best value has risen by at most
+    tol * max(1, |best|) in each of _PATIENCE full iterations in a row,
+    or at max_iters. Restart k of a problem draws its own generator from
+    (cfg.seed, k) and every stop rule reads only the problem's own rows,
+    so each result equals the one the problem gets alone. Returns one
+    estimate per problem, in order; each is a valid lower bound,
+    converged means its best restart stalled, and stop names the rule
+    that ended it.
     """
     probs = [
         (t, ExtExponent.coerce(r), ExtExponent.coerce(s), cfg or EstimatorConfig())
@@ -334,7 +343,7 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
             live.append(i)
         else:
             wa, wb = Element(alg, unit_at(rex)), Element(alg, unit_at(sex.conjugate))
-            out[i] = NormEstimate(0.0, wa, wb, 0, n_restarts, True)
+            out[i] = NormEstimate(0.0, wa, wb, 0, n_restarts, True, "zero-map")
     if not live:
         return out
 
@@ -360,6 +369,8 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     b_rows = np.repeat(e_unit_sp, n_restarts, axis=1)
     values = np.full((len(live), n_restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
+    best = np.full(len(live), -np.inf)
+    flat = np.zeros(len(live), dtype=int)  # full iterations without a rise of best
 
     for it in range(max_iters):
         mats_t = mats.transpose(0, 2, 1)
@@ -390,22 +401,29 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
                 a_rows[improve] = cand[improve]
             values = np.where(improve, vals, values)
             stall = np.where(done, stall, np.where(small, stall + 1, 0))
-        finished = np.all(stall >= 2, axis=1) | (it + 1 == max_iters)
+        new_best = values.max(axis=1)
+        risen = new_best - best > cfg.tol * np.maximum(1.0, np.abs(best))
+        flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)
+        best = new_best
+        stalled = np.all(stall >= 2, axis=1)
+        patient = flat >= _PATIENCE
+        finished = stalled | patient | (it + 1 == max_iters)
         for j in np.flatnonzero(finished):
-            best = int(np.argmax(values[j]))
+            k = int(np.argmax(values[j]))
             out[ids[j]] = NormEstimate(
-                lower_bound=float(values[j, best]),
-                witness_a=Element(alg, a_rows[j, best]),
-                witness_b=Element(alg, b_rows[j, best]),
+                lower_bound=float(values[j, k]),
+                witness_a=Element(alg, a_rows[j, k]),
+                witness_b=Element(alg, b_rows[j, k]),
                 iterations=it + 1,
                 restarts_used=n_restarts,
-                converged=bool(stall[j, best] >= 2),
+                converged=bool(stall[j, k] >= 2),
+                stop="stalled" if stalled[j] else "patience" if patient[j] else "max_iters",
             )
         if finished.all():
             break
         keep = ~finished
         ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
-        values, stall = values[keep], stall[keep]
+        values, stall, best, flat = values[keep], stall[keep], best[keep], flat[keep]
         e_unit_sp, e_unit_r = e_unit_sp[keep], e_unit_r[keep]
         r_k, sp_k = r_k[keep], sp_k[keep]
     return out

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ReportError
 from .exponents import ExtExponent
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 SUITE_IDS = (
     "ftvn",
@@ -165,7 +165,10 @@ class SuiteReport:
         if missing:
             raise ReportError(f"missing report fields: {sorted(missing)}")
         if d["schema"] != SCHEMA_VERSION:
-            raise ReportError(f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}")
+            raise ReportError(
+                f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}; "
+                "it was written by an older estimator, so re-run its campaign"
+            )
         rep = cls(
             suite=d["suite"],
             config=d["config"],

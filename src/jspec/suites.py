@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -228,14 +229,6 @@ def _norm_family_suite(cfg: CampaignConfig, kind: str):
     }
     passed = max_delta <= EST_RTOL and max_over <= INEQ_SLACK and min_slack >= -EST_RTOL
     return passed, margins, _worst(rows, "exact_delta")
-
-
-def _suite_lyapunov(cfg: CampaignConfig):
-    return _norm_family_suite(cfg, "lyapunov")
-
-
-def _suite_quadrep(cfg: CampaignConfig):
-    return _norm_family_suite(cfg, "quadratic")
 
 
 def _positive_map(cfg: CampaignConfig, alg: Algebra, trial: int) -> tuple[str, LinearMap]:
@@ -494,8 +487,8 @@ _SUITES = {
     "ftvn": _suite_ftvn,
     "holder": _suite_holder,
     "gen-holder": _suite_gen_holder,
-    "lyapunov-norms": _suite_lyapunov,
-    "quadrep-norms": _suite_quadrep,
+    "lyapunov-norms": partial(_norm_family_suite, kind="lyapunov"),
+    "quadrep-norms": partial(_norm_family_suite, kind="quadratic"),
     "positive-norms": _suite_positive,
     "theorem1": _suite_theorem1,
     "theorem2": _suite_theorem2,

@@ -138,6 +138,21 @@ class TestReplay:
         assert run_cli("replay", str(out)) == 2
         assert "trials must be an integer" in capsys.readouterr().err
 
+    def test_replay_schema_1_report_exit_two(self, tmp_path, capsys):
+        # schema 1 reports come from the estimator without the patience
+        # stop; their margins cannot replay and the message says so
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["schema"] = "1"
+        payload = {k: v for k, v in data.items() if k not in ("wall_time", "checksum")}
+        data["checksum"] = hashlib.sha256(reports._canonical(payload)).hexdigest()
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "schema mismatch" in err
+        assert "older estimator" in err and "re-run" in err
+
     def test_replay_missing_file_exit_two(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "absent.json")) == 2
 

@@ -38,7 +38,8 @@ from jspec import (
     unit,
     zero,
 )
-from jspec.linmaps import _peak_spectrum
+from jspec import linmaps
+from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
 from oracles import sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
@@ -69,7 +70,9 @@ class TestLinearMapBasics:
         t = random_map(algebra, 2)
         u = random_map(algebra, 3)
         a = random_element(algebra, 4)
-        assert np.allclose(t.compose(u)(a).coords, t(u(a)).coords, atol=1e-12)
+        # composition is the product of the chart matrices
+        tu = LinearMap(algebra, t.matrix @ u.matrix)
+        assert np.allclose(tu(a).coords, t(u(a)).coords, atol=1e-12)
         assert np.allclose((t + u)(a).coords, t(a).coords + u(a).coords, atol=1e-12)
         assert np.allclose((2.5 * t)(a).coords, 2.5 * t(a).coords, atol=1e-12)
 
@@ -334,6 +337,7 @@ class TestEstimateMany:
             want = op_norm_estimate(*prob)
             assert got.iterations == want.iterations
             assert got.converged == want.converged
+            assert got.stop == want.stop
             assert got.restarts_used == want.restarts_used
             assert got.lower_bound == pytest.approx(want.lower_bound, rel=1e-12, abs=1e-12)
             for w_got, w_want in ((got.witness_a, want.witness_a), (got.witness_b, want.witness_b)):
@@ -370,6 +374,113 @@ class TestEstimateMany:
         t3 = random_map(parse_algebra("spin:3"), 75)
         with pytest.raises(AlgebraMismatchError):
             estimate_many([(t2, 2, 2, FAST), (t3, 2, 2, FAST)])
+
+
+def _stop_batch(max_iters):
+    """On sym:3, one problem per stop reason: a zero map, the identity
+    (every restart stalls at once), a chart-diagonal 2 -> 2 map whose
+    top singular vector is restart 1 while the other restarts creep up
+    at rate 0.999**2, and a random 1 -> 1 map that still climbs."""
+    alg = parse_algebra("sym:3")
+    cfg = EstimatorConfig(restarts=4, max_iters=max_iters, tol=1e-12, seed=0)
+    creep = LinearMap(alg, np.diag([1.0, 0.999, 0.5, 0.5, 0.5, 0.5]))
+    return [
+        (LinearMap(alg, np.zeros((alg.dim, alg.dim))), 2, 3, cfg),
+        (identity_map(alg), 3, 3, cfg),
+        (creep, 2, 2, cfg),
+        (random_map(alg, 80), 1, 1, cfg),
+    ]
+
+
+def _reference_restarts(t, r, s, cfg, iterations):
+    """Objective and stall count of each restart after the given number
+    of full iterations, one restart at a time through peak()."""
+    alg, m = t.algebra, t.matrix
+    rex, sp = ExtExponent.coerce(r), ExtExponent.coerce(s).conjugate
+    e = unit(alg)
+    out = []
+    for row in _starts(alg, m, cfg):
+        a = row / p_norm(Element(alg, row), rex)
+        b = e.coords / p_norm(e, sp)
+        value, stall = -math.inf, 0
+        for _ in range(iterations):
+            for half in (0, 1):
+                if stall >= 2:
+                    continue
+                if half == 0:
+                    ta = m @ a
+                    cand = peak(Element(alg, ta), sp).coords
+                    val = float(ta @ cand)
+                else:
+                    cand = peak(Element(alg, m.T @ b), rex).coords
+                    val = float((m @ cand) @ b)
+                small = math.isfinite(value) and val - value <= cfg.tol * max(1.0, abs(value))
+                if val > value:
+                    value = val
+                    if half == 0:
+                        b = cand
+                    else:
+                        a = cand
+                stall = stall + 1 if small else 0
+        out.append((value, stall))
+    return out
+
+
+class TestPatience:
+    def test_stop_reasons(self):
+        ests = estimate_many(_stop_batch(10))
+        assert [est.stop for est in ests] == ["zero-map", "stalled", "patience", "max_iters"]
+        assert [est.iterations for est in ests] == [0, 2, 1 + _PATIENCE, 10]
+
+    def test_plateaued_best_leaves_before_max_iters(self, monkeypatch):
+        # the best restart is optimal from its start while the others
+        # keep creeping up, so only the patience rule ends the ascent
+        prob = _stop_batch(200)[2]
+        est = op_norm_estimate(*prob)
+        assert est.stop == "patience"
+        assert est.iterations == 1 + _PATIENCE < 200
+        assert est.converged
+        monkeypatch.setattr(linmaps, "_PATIENCE", 10**9)
+        full = op_norm_estimate(*prob)
+        assert (full.stop, full.iterations) == ("max_iters", 200)
+        assert full.lower_bound == est.lower_bound == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("case", ["rising-best", "patience", "max_iters", "random"])
+    def test_converged_means_best_restart_stalled(self, case):
+        if case == "rising-best":
+            # a still-rising restart reaches the plateau value in the last
+            # iteration; it comes first among the restarts attaining the
+            # best, so the best restart has not stalled
+            alg = parse_algebra("rn:3")
+            prob = (LinearMap(alg, np.diag([1.0, 0.99, 0.98])), 1.5, 3,
+                    EstimatorConfig(restarts=4, max_iters=30, tol=1e-12, seed=0))
+        elif case == "random":
+            prob = (random_map(parse_algebra("sym:2,spin:3"), 83), 3, 1.25, FAST)
+        else:
+            prob = _stop_batch(10)[2 if case == "patience" else 3]
+        est = op_norm_estimate(*prob)
+        value, stall = max(_reference_restarts(*prob, est.iterations), key=lambda vs: vs[0])
+        assert est.lower_bound == pytest.approx(value, rel=1e-12)
+        assert est.converged == (stall >= 2)
+        if case == "rising-best":
+            assert est.stop == "patience" and not est.converged
+
+    def test_batch_matches_solo_across_stop_reasons(self):
+        problems = _stop_batch(10)
+        alg, cfg = problems[0][0].algebra, problems[0][3]
+        problems += [
+            (random_map(alg, 81), 1.5, 3, replace(cfg, seed=1)),
+            (lyapunov(random_element(alg, 82)), math.inf, 1.25, cfg),
+            (problems[2][0], 2, 2, replace(cfg, seed=2)),
+        ]
+        batch = estimate_many(problems)
+        assert {est.stop for est in batch} == {"zero-map", "stalled", "patience", "max_iters"}
+        for prob, got in zip(problems, batch):
+            want = op_norm_estimate(*prob)
+            assert (got.stop, got.iterations, got.converged) == (want.stop, want.iterations, want.converged)
+            assert got.lower_bound == want.lower_bound
+            assert np.array_equal(got.witness_a.coords, want.witness_a.coords)
+            assert np.array_equal(got.witness_b.coords, want.witness_b.coords)
 
 
 class TestClosedForms:

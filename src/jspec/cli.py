@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .errors import JspecError
-from .reports import DEFAULT_GRID, SUITE_IDS, CampaignConfig
-from .suites import cp_table_csv, replay, run_suite
+from .reports import DEFAULT_GRID, CampaignConfig
+from .suites import SUITE_IDS, cp_table_csv, replay, run_suite
 
 
 def _parse_grid(text: str) -> tuple:

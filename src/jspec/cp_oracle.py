@@ -6,6 +6,13 @@ with ||x + iy||_p = 1. The closed form (cp_constant) is sqrt(2) on
 [1, 2] and 2^(1/q) on [2, inf]. cp_bruteforce recovers it by multistart
 coordinate ascent and never consults the closed form, so the two routes
 stay independent.
+
+The fuzz checks draw their whole sample first, in a fixed order, then
+check it in row blocks of at most _BLOCK_FLOATS floats, so their
+temporaries do not grow with the trial count. suites.py draws and checks
+its bulk trials in the same blocks. Every check is row by row and the
+worst case is the first maximum, as np.argmax over all rows would pick,
+so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -15,6 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentLike, ExtExponent, vector_pnorm
+
+_BLOCK_FLOATS = 1 << 16  # floats per row block of a bulk check
+
+
+def _row_blocks(n: int, width: int):
+    """Consecutive (lo, hi) ranges covering rows 0..n, each holding at
+    most _BLOCK_FLOATS floats at `width` floats per row (at least one row)."""
+    step = max(1, _BLOCK_FLOATS // width)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 def _mod_pnorm(x: np.ndarray, y: np.ndarray, p: ExtExponent) -> np.ndarray:
@@ -119,11 +136,18 @@ class InequalityResult:
 
 def _sample_pairs(rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex pairs with heavy-tailed scales plus structured corners
-    (equal, opposite, real, imaginary pairs)."""
+    (equal, opposite, real, imaginary pairs). Draw order: the scales,
+    then the real and imaginary parts of z, then those of w, each over
+    all trials."""
     m = trials // 5
     scale = np.exp(rng.normal(0.0, 2.0, trials))
-    z = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * scale
-    w = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * scale[::-1]
+    z = np.empty(trials, dtype=complex)
+    w = np.empty(trials, dtype=complex)
+    for part in (z.real, z.imag, w.real, w.imag):
+        for lo, hi in _row_blocks(trials, 1):
+            part[lo:hi] = rng.standard_normal(hi - lo)
+    z *= scale
+    w *= scale[::-1]
     w[:m] = z[:m]
     w[m:2 * m] = -z[m:2 * m]
     z[2 * m:3 * m] = z[2 * m:3 * m].real
@@ -132,10 +156,20 @@ def _sample_pairs(rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np
     return z, w
 
 
-def _pack(name: str, p: float, trials: int, viol: np.ndarray, z: np.ndarray, w: np.ndarray) -> InequalityResult:
-    k = int(np.argmax(viol))
-    worst = {"z": [z[k].real, z[k].imag], "w": [w[k].real, w[k].imag], "violation": float(viol[k])}
-    return InequalityResult(name, p, trials, float(viol[k]), worst)
+def _fuzz_pairs(name: str, p: float, trials: int, seed: int, violation) -> InequalityResult:
+    """Sample pairs, evaluate violation(z, w) on each row block, and keep
+    the first worst pair."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    z, w = _sample_pairs(np.random.default_rng(seed), trials)
+    worst = None
+    for lo, hi in _row_blocks(trials, 4):
+        zb, wb = z[lo:hi], w[lo:hi]
+        viol = violation(zb, wb)
+        k = int(np.argmax(viol))
+        if worst is None or viol[k] > worst["violation"]:
+            worst = {"z": [zb[k].real, zb[k].imag], "w": [wb[k].real, wb[k].imag], "violation": float(viol[k])}
+    return InequalityResult(name, p, trials, worst["violation"], worst)
 
 
 def clarkson_check(p: ExponentLike, trials: int = 10**5, seed: int = 0) -> InequalityResult:
@@ -144,11 +178,13 @@ def clarkson_check(p: ExponentLike, trials: int = 10**5, seed: int = 0) -> Inequ
     if pex.is_inf or pex.value < 2.0:
         raise ValueError("the plain two-point inequality needs 2 <= p < inf")
     pv = pex.value
-    z, w = _sample_pairs(np.random.default_rng(seed), trials)
-    lhs = 2.0 * (np.abs(z) ** pv + np.abs(w) ** pv)
-    rhs = np.abs(z + w) ** pv + np.abs(z - w) ** pv
-    viol = (lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
-    return _pack("two-point", pv, trials, viol, z, w)
+
+    def violation(z, w):
+        lhs = 2.0 * (np.abs(z) ** pv + np.abs(w) ** pv)
+        rhs = np.abs(z + w) ** pv + np.abs(z - w) ** pv
+        return (lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
+
+    return _fuzz_pairs("two-point", pv, trials, seed, violation)
 
 
 def refined_clarkson_check(p: ExponentLike, trials: int = 10**5, seed: int = 0) -> InequalityResult:
@@ -158,14 +194,16 @@ def refined_clarkson_check(p: ExponentLike, trials: int = 10**5, seed: int = 0) 
     if pex.value > 2.0:
         raise ValueError("the refined two-point inequality needs 1 <= p <= 2")
     pv = pex.value
-    z, w = _sample_pairs(np.random.default_rng(seed), trials)
-    plus = np.abs(z + w) ** pv
-    minus = np.abs(z - w) ** pv
-    lhs = 2.0 ** (pv - 1.0) * (np.abs(z) ** pv + np.abs(w) ** pv)
-    lhs += (2.0 - 2.0 ** (pv / 2.0)) * np.minimum(plus, minus)
-    rhs = plus + minus
-    viol = (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), rhs), 1e-300)
-    return _pack("refined two-point", pv, trials, viol, z, w)
+
+    def violation(z, w):
+        plus = np.abs(z + w) ** pv
+        minus = np.abs(z - w) ** pv
+        lhs = 2.0 ** (pv - 1.0) * (np.abs(z) ** pv + np.abs(w) ** pv)
+        lhs += (2.0 - 2.0 ** (pv / 2.0)) * np.minimum(plus, minus)
+        rhs = plus + minus
+        return (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), rhs), 1e-300)
+
+    return _fuzz_pairs("refined two-point", pv, trials, seed, violation)
 
 
 def aggregate_split_check(
@@ -177,18 +215,24 @@ def aggregate_split_check(
     pex = ExtExponent.coerce(p)
     if pex.is_inf:
         raise ValueError("aggregation needs finite p")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     pv = pex.value
     bound = 2.0 ** (1.0 - pv / 2.0) if pv <= 2.0 else 1.0
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((trials, n)) * np.exp(rng.normal(0.0, 1.0, (trials, 1)))
+    x = rng.standard_normal((trials, n))
+    x *= np.exp(rng.normal(0.0, 1.0, (trials, 1)))
     y = rng.standard_normal((trials, n))
     m = trials // 4
     y[:m] = x[:m]
     y[m:2 * m] = 0.0
-    g = _mod_pnorm(x, y, pex)
-    x, y = x / g[:, None], y / g[:, None]
-    lhs = (np.abs(x) ** pv + np.abs(y) ** pv).sum(axis=1)
-    viol = (lhs - bound) / bound
-    k = int(np.argmax(viol))
-    worst = {"x": x[k].tolist(), "y": y[k].tolist(), "violation": float(viol[k])}
-    return InequalityResult("aggregate split", pv, trials, float(viol[k]), worst)
+    worst = None
+    for lo, hi in _row_blocks(trials, 2 * n):
+        g = _mod_pnorm(x[lo:hi], y[lo:hi], pex)
+        xb, yb = x[lo:hi] / g[:, None], y[lo:hi] / g[:, None]
+        lhs = (np.abs(xb) ** pv + np.abs(yb) ** pv).sum(axis=1)
+        viol = (lhs - bound) / bound
+        k = int(np.argmax(viol))
+        if worst is None or viol[k] > worst["violation"]:
+            worst = {"x": xb[k].tolist(), "y": yb[k].tolist(), "violation": float(viol[k])}
+    return InequalityResult("aggregate split", pv, trials, worst["violation"], worst)

@@ -107,20 +107,6 @@ def complex_inner(u: ComplexElement, v: ComplexElement) -> complex:
     return complex(np.vdot(v.coords, u.coords))
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexLinearMap:
-    """Complex-linear extension (a+ib) -> T(a) + i T(b)."""
-
-    base: LinearMap
-
-    def __call__(self, u: ComplexElement) -> ComplexElement:
-        return ComplexElement(u.algebra, u.coords @ self.base.matrix.T)
-
-
-def complexify(t: LinearMap) -> ComplexLinearMap:
-    return ComplexLinearMap(t)
-
-
 # -- exponent pairs and constants ---------------------------------------
 
 

@@ -19,21 +19,6 @@ from .exponents import ExtExponent
 
 SCHEMA_VERSION = "2"
 
-SUITE_IDS = (
-    "ftvn",
-    "holder",
-    "gen-holder",
-    "lyapunov-norms",
-    "quadrep-norms",
-    "positive-norms",
-    "theorem1",
-    "theorem2",
-    "corollary4",
-    "three-lines",
-    "cp-table",
-    "clarkson",
-)
-
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
 
 
@@ -68,6 +53,8 @@ class CampaignConfig:
             raise ReportError(f"tol must be a real number, got {self.tol!r}")
         if not isinstance(self.grid, (list, tuple)):
             raise ReportError(f"grid must be a list of exponents, got {self.grid!r}")
+        from .suites import SUITE_IDS  # the suite registry; suites.py imports this module
+
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
         for name in ("trials", "restarts", "max_iters", "starts"):

@@ -5,6 +5,13 @@ Every suite derives per-trial randomness from (config seed, trial
 index) and runs its trials in order. Estimator suites hand all norm
 problems of a trial to one estimate_many call; each problem keeps its
 own seed, so batching does not change results.
+
+The bulk suites (ftvn, holder, gen-holder) draw their rows from one
+generator per suite or per exponent group, and draw and check them in
+row blocks of at most cp_oracle._BLOCK_FLOATS floats, so their memory
+does not grow with the trial count. Consecutive draws continue one
+stream, every check is row by row, and the worst row is the first
+maximum across blocks, so reports do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .algebra import Algebra, SymMatrix, parse_algebra
 from .cp_oracle import (
     CpProblem,
+    _row_blocks,
     aggregate_split_check,
     clarkson_check,
     cp_bruteforce,
@@ -79,21 +87,45 @@ def _worst(items: list, key: str, n: int = 3) -> list:
 # -- inequality suites ---------------------------------------------------
 
 
-def _suite_ftvn(cfg: CampaignConfig):
-    """<a, b> <= lambda(a) . lambda(b) (eigenvalues sorted decreasing)."""
-    alg = parse_algebra(cfg.algebra)
-    a = _rng(cfg.seed, 0).standard_normal((cfg.trials, alg.dim))
-    b = _rng(cfg.seed, 1).standard_normal((cfg.trials, alg.dim))
+def _ftvn_rows(alg: Algebra, a: np.ndarray, b: np.ndarray):
+    """Per-row violation, inner product and eigenvalue bound of one block."""
     ip = np.einsum("ij,ij->i", a, b)
     la = np.sort(alg.eigenvalues(a), axis=-1)[:, ::-1]
     lb = np.sort(alg.eigenvalues(b), axis=-1)[:, ::-1]
     rhs = np.einsum("ij,ij->i", la, lb)
     scale = np.maximum(vector_pnorm(la, 2) * vector_pnorm(lb, 2), 1e-30)
-    viol = (ip - rhs) / scale
-    k = int(np.argmax(viol))
-    margins = {"max_violation": float(viol[k])}
-    witnesses = [{"trial": k, "violation": float(viol[k]), "inner": float(ip[k]), "rhs": float(rhs[k])}]
-    return bool(viol[k] <= INEQ_SLACK), margins, witnesses
+    return (ip - rhs) / scale, ip, rhs
+
+
+def _suite_ftvn(cfg: CampaignConfig):
+    """<a, b> <= lambda(a) . lambda(b) (eigenvalues sorted decreasing)."""
+    alg = parse_algebra(cfg.algebra)
+    rng_a, rng_b = _rng(cfg.seed, 0), _rng(cfg.seed, 1)
+    worst = None
+    for lo, hi in _row_blocks(cfg.trials, alg.dim):
+        shape = (hi - lo, alg.dim)
+        viol, ip, rhs = _ftvn_rows(alg, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
+        k = int(np.argmax(viol))
+        if worst is None or viol[k] > worst["violation"]:
+            worst = {"trial": lo + k, "violation": float(viol[k]), "inner": float(ip[k]), "rhs": float(rhs[k])}
+    return worst["violation"] <= INEQ_SLACK, {"max_violation": worst["violation"]}, [worst]
+
+
+def _holder_rows(alg: Algebra, p: ExtExponent, a: np.ndarray, b: np.ndarray):
+    """Per-row violations of the two Hölder steps and the attainment
+    error at the dual-norm peak, for one block."""
+    q = p.conjugate
+    ip = np.abs(np.einsum("ij,ij->i", a, b))
+    ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
+    decs = alg.decomp(a)  # one decomposition for ||a||_p and the peak
+    lam_a = alg.eigenvalues_from(decs)
+    na = vector_pnorm(lam_a, p)
+    nb = vector_pnorm(alg.eigenvalues(b), q)
+    scale = np.maximum(na * nb, 1e-30)
+    lam_peak, ok = _peak_spectrum(lam_a, q)
+    pairing = np.einsum("ij,ij->i", a, alg.rebuild(decs, lam_peak))
+    attain = np.where(ok, np.abs(pairing - na) / np.maximum(na, 1e-30), 0.0)
+    return (ip - ab1) / scale, (ab1 - na * nb) / scale, attain
 
 
 def _suite_holder(cfg: CampaignConfig):
@@ -107,32 +139,16 @@ def _suite_holder(cfg: CampaignConfig):
     worst = {}
     for gi, p in enumerate(exps):
         m = len(range(gi, cfg.trials, len(exps)))
-        if m == 0:
-            continue
-        q = p.conjugate
-        a = _rng(cfg.seed, 2, gi).standard_normal((m, alg.dim))
-        b = _rng(cfg.seed, 3, gi).standard_normal((m, alg.dim))
-        ip = np.abs(np.einsum("ij,ij->i", a, b))
-        ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
-        decs = alg.decomp(a)  # one decomposition for ||a||_p and the peak
-        lam_a = alg.eigenvalues_from(decs)
-        na = vector_pnorm(lam_a, p)
-        nb = vector_pnorm(alg.eigenvalues(b), q)
-        scale = np.maximum(na * nb, 1e-30)
-        v1 = (ip - ab1) / scale
-        v2 = (ab1 - na * nb) / scale
-        lam_peak, ok = _peak_spectrum(lam_a, q)
-        peaks = alg.rebuild(decs, lam_peak)
-        pairing = np.einsum("ij,ij->i", a, peaks)
-        attain = np.where(ok, np.abs(pairing - na) / np.maximum(na, 1e-30), 0.0)
-        k1, k2, k3 = int(np.argmax(v1)), int(np.argmax(v2)), int(np.argmax(attain))
-        if v1[k1] > max_inner:
-            max_inner = float(v1[k1])
-        if v2[k2] > max_prod:
-            max_prod = float(v2[k2])
-        if attain[k3] > max_attain:
-            max_attain = float(attain[k3])
-            worst = {"p": exponent_to_json(p.value), "trial_in_group": k3, "attain_error": float(attain[k3])}
+        rng_a, rng_b = _rng(cfg.seed, 2, gi), _rng(cfg.seed, 3, gi)
+        for lo, hi in _row_blocks(m, alg.dim):
+            shape = (hi - lo, alg.dim)
+            v1, v2, attain = _holder_rows(alg, p, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
+            max_inner = max(max_inner, float(v1.max()))
+            max_prod = max(max_prod, float(v2.max()))
+            k = int(np.argmax(attain))
+            if attain[k] > max_attain:
+                max_attain = float(attain[k])
+                worst = {"p": exponent_to_json(p.value), "trial_in_group": lo + k, "attain_error": max_attain}
     margins = {
         "max_inner_violation": max_inner,
         "max_product_violation": max_prod,
@@ -140,6 +156,13 @@ def _suite_holder(cfg: CampaignConfig):
     }
     passed = max_inner <= INEQ_SLACK and max_prod <= INEQ_SLACK and max_attain <= INEQ_SLACK
     return passed, margins, [worst]
+
+
+def _gen_holder_rows(alg: Algebra, p, r, s, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row ratio ||a o b||_s / (||a||_p ||b||_r) of one block."""
+    ns = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), s)
+    denom = np.maximum(vector_pnorm(alg.eigenvalues(a), p) * vector_pnorm(alg.eigenvalues(b), r), 1e-30)
+    return ns / denom
 
 
 def _suite_gen_holder(cfg: CampaignConfig):
@@ -164,22 +187,23 @@ def _suite_gen_holder(cfg: CampaignConfig):
         m = len(range(gi, cfg.trials, len(pairs)))
         if m == 0:
             continue
+        rng_a, rng_b = _rng(cfg.seed, 4, gi), _rng(cfg.seed, 5, gi)
+        top, k_top = -math.inf, 0  # the group's first largest ratio and its row
+        for lo, hi in _row_blocks(m, alg.dim):
+            shape = (hi - lo, alg.dim)
+            ratio = _gen_holder_rows(alg, p, r, s, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
+            k = int(np.argmax(ratio))
+            if ratio[k] > top:
+                top, k_top = float(ratio[k]), lo + k
         bound = 2.0 * cp_constant(p.conjugate)
-        a = _rng(cfg.seed, 4, gi).standard_normal((m, alg.dim))
-        b = _rng(cfg.seed, 5, gi).standard_normal((m, alg.dim))
-        ns = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), s)
-        denom = np.maximum(vector_pnorm(alg.eigenvalues(a), p) * vector_pnorm(alg.eigenvalues(b), r), 1e-30)
-        ratio = ns / denom
-        k = int(np.argmax(ratio))
-        viol = (ratio[k] - bound) / bound
-        if ratio[k] > max_ratio:
-            max_ratio = float(ratio[k])
+        viol = (top - bound) / bound
+        max_ratio = max(max_ratio, top)
         if viol > max_violation:
-            max_violation = float(viol)
+            max_violation = viol
             worst = {
                 "p": exponent_to_json(p.value), "r": exponent_to_json(r.value),
-                "s": exponent_to_json(s.value), "ratio": float(ratio[k]),
-                "bound": bound, "trial_in_group": k,
+                "s": exponent_to_json(s.value), "ratio": top,
+                "bound": bound, "trial_in_group": k_top,
             }
     margins = {"max_violation": max_violation, "max_ratio": max_ratio}
     return max_violation <= INEQ_SLACK, margins, [worst]
@@ -497,12 +521,11 @@ _SUITES = {
     "cp-table": _suite_cp_table,
     "clarkson": _suite_clarkson,
 }
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(cfg: CampaignConfig) -> SuiteReport:
     """Execute one campaign; deterministic given the config."""
-    if cfg.suite not in _SUITES:
-        raise ReportError(f"unknown suite {cfg.suite!r}")
     t0 = time.perf_counter()
     passed, margins, witnesses = _SUITES[cfg.suite](cfg)
     wall = time.perf_counter() - t0

@@ -107,6 +107,13 @@ class TestReplay:
         ) == 0
         return out
 
+    @staticmethod
+    def _reseal(out, data):
+        """Write an edited report back with a valid checksum."""
+        payload = {k: v for k, v in data.items() if k not in ("wall_time", "checksum")}
+        data["checksum"] = hashlib.sha256(reports._canonical(payload)).hexdigest()
+        out.write_text(json.dumps(data))
+
     def test_replay_exit_zero(self, tmp_path, capsys):
         out = self._write_report(tmp_path)
         assert run_cli("replay", str(out)) == 0
@@ -132,11 +139,17 @@ class TestReplay:
         out = self._write_report(tmp_path)
         data = json.loads(out.read_text())
         data["config"]["trials"] = "3"
-        payload = {k: v for k, v in data.items() if k not in ("wall_time", "checksum")}
-        data["checksum"] = hashlib.sha256(reports._canonical(payload)).hexdigest()
-        out.write_text(json.dumps(data))
+        self._reseal(out, data)
         assert run_cli("replay", str(out)) == 2
         assert "trials must be an integer" in capsys.readouterr().err
+
+    def test_replay_unknown_suite_exit_two(self, tmp_path, capsys):
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["config"]["suite"] = "nope"
+        self._reseal(out, data)
+        assert run_cli("replay", str(out)) == 2
+        assert "unknown suite 'nope'" in capsys.readouterr().err
 
     def test_replay_schema_1_report_exit_two(self, tmp_path, capsys):
         # schema 1 reports come from the estimator without the patience
@@ -144,9 +157,7 @@ class TestReplay:
         out = self._write_report(tmp_path)
         data = json.loads(out.read_text())
         data["schema"] = "1"
-        payload = {k: v for k, v in data.items() if k not in ("wall_time", "checksum")}
-        data["checksum"] = hashlib.sha256(reports._canonical(payload)).hexdigest()
-        out.write_text(json.dumps(data))
+        self._reseal(out, data)
         capsys.readouterr()
         assert run_cli("replay", str(out)) == 2
         err = capsys.readouterr().err

@@ -20,7 +20,6 @@ from jspec import (
     combine,
     complex_inner,
     complex_p_norm,
-    complexify,
     conjugate,
     cp_constant,
     inner_product,
@@ -92,34 +91,6 @@ class TestComplexLayer:
             lhs = abs(complex_inner(u, v))
             rhs = complex_p_norm(u, p) * complex_p_norm(v, q)
             assert lhs <= rhs * (1.0 + 1e-9)
-
-    def test_map_extension_is_complex_linear(self, algebra):
-        t = random_map(algebra, 12)
-        tc = complexify(t)
-        a, b = random_element(algebra, 13), random_element(algebra, 14)
-        u = combine(a, b)
-        got = tc(u)
-        assert np.allclose(got.real.coords, t(a).coords, atol=1e-12)
-        assert np.allclose(got.imag.coords, t(b).coords, atol=1e-12)
-        z = 0.7 - 1.9j
-        assert np.allclose(tc(z * u).coords, z * got.coords, atol=1e-12)
-
-    def test_extension_preserves_operator_norm_sampled(self):
-        # ||T~(u)||_s / ||u||_r never exceeds ||T||_{r->s}; with a sharp
-        # estimate of the real norm the sampled complex ratios stay below it
-        t = random_map(SYM3, 15)
-        r, s = 1.5, 3.0
-        est = op_norm_estimate(t, r, s, EstimatorConfig(restarts=32, seed=0)).lower_bound
-        tc = complexify(t)
-        rng = np.random.default_rng(16)
-        worst = 0.0
-        for _ in range(100):
-            u = combine(
-                Element(SYM3, rng.standard_normal(SYM3.dim)),
-                Element(SYM3, rng.standard_normal(SYM3.dim)),
-            )
-            worst = max(worst, complex_p_norm(tc(u), s) / complex_p_norm(u, r))
-        assert worst <= est * (1.0 + 1e-4)
 
 
 class TestConstants:

@@ -10,10 +10,10 @@ from jspec import CampaignConfig, ReportError, SuiteReport, load_report, run_sui
 from jspec.reports import (
     DEFAULT_GRID,
     SCHEMA_VERSION,
-    SUITE_IDS,
     exponent_to_json,
     margins_match,
 )
+from jspec.suites import SUITE_IDS
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,10 @@ class TestCampaignConfig:
     def test_all_suite_ids_constructible(self):
         for sid in SUITE_IDS:
             CampaignConfig(suite=sid)
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ReportError, match="unknown suite 'nope'"):
+            CampaignConfig(suite="nope")
 
 
 class TestExponentJson:

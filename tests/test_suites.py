@@ -1,6 +1,7 @@
 """Verification suites: margin schemas, determinism, replay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from jspec import (
     CampaignConfig,
     ReportError,
     SuiteReport,
+    cp_oracle,
     cp_table_csv,
     replay,
     run_suite,
 )
-from jspec.reports import SUITE_IDS
-from jspec.suites import derive_seed
+from jspec.suites import SUITE_IDS, derive_seed
 
 SMOKE = {
     "ftvn": dict(trials=8),
@@ -95,6 +96,63 @@ class TestAllSuitesSmoke:
     def test_mixed_algebra_smoke(self):
         rep = run_suite(_smoke_cfg("holder", algebra="sym:2,spin:3"))
         assert rep.passed
+
+
+BULK = "sym:2,spin:3,herm:2"  # dim 10
+BLOCKED = {
+    "ftvn": dict(algebra=BULK, trials=300),
+    "holder": dict(algebra=BULK, trials=300, grid=(1, 3, "inf")),
+    "gen-holder": dict(algebra=BULK, trials=300, grid=(2, 3)),
+    "clarkson": dict(trials=400, grid=(4 / 3, 2, 3), n=3),
+}
+
+
+class TestRowBlocks:
+    """The bulk suites draw and check their trials in row blocks of at
+    most cp_oracle._BLOCK_FLOATS floats."""
+
+    # 1 float: one row per block; 77 floats: 7 rows of the algebra suites
+    # (19 pairs, 12 aggregation rows), so the last block is short
+    @pytest.mark.parametrize("floats", [1, 77])
+    @pytest.mark.parametrize("suite", sorted(BLOCKED))
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch, suite, floats):
+        cfg = CampaignConfig(suite=suite, seed=4, **BLOCKED[suite])
+        want = run_suite(cfg)
+        monkeypatch.setattr(cp_oracle, "_BLOCK_FLOATS", floats)
+        got = run_suite(cfg)
+        assert got.margins == want.margins
+        assert got.witnesses == want.witnesses
+        assert got.checksum == want.checksum
+
+    @pytest.mark.parametrize("floats", [1, 77])
+    def test_scalar_witnesses_do_not_depend_on_block_size(self, monkeypatch, floats):
+        # clarkson reports keep only the violations; the checks keep the
+        # worst pair too (p = 2 aggregation ties at its maximum)
+        def run():
+            return [
+                cp_oracle.clarkson_check(3, trials=400, seed=4),
+                cp_oracle.refined_clarkson_check(1.5, trials=400, seed=4),
+                cp_oracle.aggregate_split_check(2, 3, trials=400, seed=4),
+            ]
+
+        want = run()
+        monkeypatch.setattr(cp_oracle, "_BLOCK_FLOATS", floats)
+        for got, ref in zip(run(), want):
+            assert got.worst == ref.worst
+
+    @pytest.mark.parametrize("suite", ["ftvn", "holder", "gen-holder"])
+    def test_peak_memory_does_not_grow_with_trials(self, suite):
+        # 8000 trials span more than one default block at dim 10
+        def peak(trials):
+            cfg = CampaignConfig(suite=suite, algebra=BULK, trials=trials, grid=(3,), seed=1)
+            tracemalloc.start()
+            try:
+                run_suite(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * 8000) <= 1.2 * peak(8000)
 
 
 class TestHonestFailure:

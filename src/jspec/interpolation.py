@@ -24,7 +24,7 @@ re-estimating everything with more restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -199,7 +199,7 @@ def _interp_report(
     rhs = rhs_of(m0, m1)
     margin = rhs - lhs
     if margin < -VIOLATION_RTOL * max(rhs, 1e-30):
-        wide = cfg.scaled(4, seed_offset=101)
+        wide = replace(cfg, restarts=4 * cfg.restarts, seed=cfg.seed + 101)
         lhs_w, m0_w, m1_w = _estimates(t, (lhs_rs, end0, end1), wide)
         lhs, m0, m1 = max(lhs, lhs_w), max(m0, m0_w), max(m1, m1_w)
         rhs = rhs_of(m0, m1)

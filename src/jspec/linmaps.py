@@ -13,7 +13,7 @@ not a claim of global optimality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,14 +64,6 @@ class LinearMap:
     @property
     def adjoint(self) -> "LinearMap":
         return LinearMap(self.algebra, self.matrix.T)
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra, self.matrix + other.matrix)
-
-    def __mul__(self, t: float) -> "LinearMap":
-        return LinearMap(self.algebra, self.matrix * float(t))
-
-    __rmul__ = __mul__
 
 
 def identity_map(alg: Algebra) -> LinearMap:
@@ -190,26 +182,19 @@ def _peak_spectrum(lam: np.ndarray, p: ExtExponent):
     return lam_new, ok
 
 
-def _peak_batch(alg: Algebra, coords: np.ndarray, p: ExtExponent):
-    """Batched dual-norm maximizer.
-
-    For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q
-    (q conjugate to p), built in c's Jordan frame. Second return value
-    flags nonzero rows; zero rows yield zero output. The one-exponent
-    case of _peak_stack.
-    """
-    return _peak_stack(alg, coords, [p], np.zeros(len(coords), dtype=int))
-
-
 def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
-    """_peak_batch over rows x of shape (rows, dim), where row i uses
-    exponent exps[which[i]].
+    """Batched dual-norm maximizer over rows x of shape (rows, dim), where
+    row i uses exponent p = exps[which[i]].
 
-    The chart is orthonormal for the trace form, so ||c||_2 is the
-    Euclidean norm of c's coordinates and the p = 2 peak is c / ||c||_2;
-    those rows need no decomposition, and a row with ||c||_2 <= _ZERO_EIG
-    is zero. All other rows share one decomposition and one rebuild, and
-    the spectral map runs once per distinct exponent.
+    For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q (q
+    conjugate to p), built in c's Jordan frame. Second return value flags
+    nonzero rows; zero rows yield zero output. The chart is orthonormal
+    for the trace form, so ||c||_2 is the Euclidean norm of c's
+    coordinates and the p = 2 peak is c / ||c||_2; those rows need no
+    decomposition, and a row with ||c||_2 <= _ZERO_EIG is zero. All other
+    rows share one decomposition and one rebuild, and the spectral map
+    runs once per distinct exponent. estimate_many's one ascent step calls
+    it once per half-step, after that half-step's one matmul.
     """
     d, ok = np.empty_like(x), np.empty(len(x), dtype=bool)
     two = np.array([p.value == 2.0 for p in exps])[which]
@@ -235,7 +220,7 @@ def peak(c: Element, p: ExponentLike) -> Element:
     """The unit-||.||_p element d maximizing <c, d>; the maximum is
     ||c||_q with q conjugate to p."""
     pex = ExtExponent.coerce(p)
-    d, ok = _peak_batch(c.algebra, c.coords[None, :], pex)
+    d, ok = _peak_stack(c.algebra, c.coords[None], [pex], np.zeros(1, dtype=int))
     if not ok[0]:
         raise DegenerateInputError("peak of a (numerically) zero element")
     return Element(c.algebra, d[0])
@@ -250,9 +235,6 @@ class EstimatorConfig:
     max_iters: int = 200
     tol: float = 1e-10
     seed: int = 0
-
-    def scaled(self, factor: int, seed_offset: int = 0) -> "EstimatorConfig":
-        return replace(self, restarts=self.restarts * factor, seed=self.seed + seed_offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,10 +282,13 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     and seed (cfg None means EstimatorConfig()). All maps live on one
     algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
     problems (ValueError otherwise). The restarts of all problems form
-    one (problems, restarts, dim) stack. Each half-step costs one matmul
-    over the whole stack, then one decomposition and one rebuild that
-    cover only the restarts that have not stalled and whose exponent is
-    not 2 (the p = 2 peak is c / ||c||_2). A restart stalls after two
+    one (problems, restarts, dim) stack. Since ||T*||_{s'->r'} =
+    ||T||_{r->s}, both half-steps are one step: a -> b peaks T a in the
+    s' ball, b -> a peaks T* b in the r ball, and each reads its
+    objective off the rows it mapped. A half-step costs one matmul over
+    the whole stack, then one decomposition and one rebuild that cover
+    only the restarts that have not stalled and whose exponent is not 2
+    (the p = 2 peak is c / ||c||_2). A restart stalls after two
     half-steps in a row that raise its objective by at most
     tol * max(1, |objective|); the first half-step, which rises from
     -inf, never counts. A problem leaves the stack once all its restarts
@@ -347,13 +332,15 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     if not live:
         return out
 
-    # one leading entry per problem still in the stack; exponents are
-    # indices into the distinct exponents of each half-step
+    # one leading entry per problem still in the stack; each side's
+    # exponents are indices into its distinct exponents and unit table
     ids = np.array(live)
     r_exps = list(dict.fromkeys(probs[i][1] for i in live))
     sp_exps = list(dict.fromkeys(probs[i][2].conjugate for i in live))
     r_k = np.array([r_exps.index(probs[i][1]) for i in live])
     sp_k = np.array([sp_exps.index(probs[i][2].conjugate) for i in live])
+    r_units = np.stack([unit_at(p) for p in r_exps])
+    sp_units = np.stack([unit_at(p) for p in sp_exps])
     mats = np.stack([probs[i][0].matrix for i in live])
     a_rows = np.empty((len(live), n_restarts, alg.dim))
     starts: dict = {}  # problems on one map with one seed share their draws
@@ -364,43 +351,33 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
             starts[key] = rows, alg.eigenvalues(rows)
         rows, lam = starts[key]
         a_rows[j] = rows / vector_pnorm(lam, probs[i][1])[:, None]
-    e_unit_sp = np.stack([unit_at(p) for p in sp_exps])[sp_k][:, None, :]
-    e_unit_r = np.stack([unit_at(p) for p in r_exps])[r_k][:, None, :]
-    b_rows = np.repeat(e_unit_sp, n_restarts, axis=1)
+    b_rows = np.repeat(sp_units[sp_k][:, None, :], n_restarts, axis=1)
     values = np.full((len(live), n_restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
     best = np.full(len(live), -np.inf)
     flat = np.zeros(len(live), dtype=int)  # full iterations without a rise of best
 
     for it in range(max_iters):
-        mats_t = mats.transpose(0, 2, 1)
-        for half in (0, 1):
-            # only restarts that have not stalled are decomposed; the
-            # others take the unit fallback, and improve discards them
-            done = stall >= 2
-            idx = np.nonzero(~done)
-            if half == 0:
-                ta = np.matmul(a_rows, mats_t)
-                cand = np.repeat(e_unit_sp, n_restarts, axis=1)
-                peaks, ok = _peak_stack(alg, ta[idx], sp_exps, sp_k[idx[0]])
-                cand[idx] = np.where(ok[:, None], peaks, cand[idx])
-                vals = np.einsum("prj,prj->pr", ta, cand)
-            else:
-                tb = np.matmul(b_rows, mats)
-                cand = np.repeat(e_unit_r, n_restarts, axis=1)
-                peaks, ok = _peak_stack(alg, tb[idx], r_exps, r_k[idx[0]])
-                cand[idx] = np.where(ok[:, None], peaks, cand[idx])
-                vals = np.einsum("prj,prj->pr", np.matmul(cand, mats_t), b_rows)
-            improve = (vals > values) & ~done
-            scale = np.maximum(1.0, np.abs(values))
+        # a -> b peaks T a in the s' ball; b -> a peaks T* b in the r ball
+        for src, mat, dst, units, exps, which in (
+            (a_rows, mats.transpose(0, 2, 1), b_rows, sp_units, sp_exps, sp_k),
+            (b_rows, mats, a_rows, r_units, r_exps, r_k),
+        ):
+            # only restarts that have not stalled take the step; a zero
+            # peak falls back to the unit
+            idx = np.nonzero(stall < 2)
+            tx = np.matmul(src, mat)[idx]
+            w = which[idx[0]]
+            peaks, ok = _peak_stack(alg, tx, exps, w)
+            cand = np.where(ok[:, None], peaks, units[w])
+            vals = np.einsum("ij,ij->i", tx, cand)
+            old = values[idx]
+            up = vals > old
             # the first half-step rises from -inf and is never small
-            small = np.isfinite(values) & ((vals - values) <= cfg.tol * scale)
-            if half == 0:
-                b_rows[improve] = cand[improve]
-            else:
-                a_rows[improve] = cand[improve]
-            values = np.where(improve, vals, values)
-            stall = np.where(done, stall, np.where(small, stall + 1, 0))
+            small = np.isfinite(old) & ((vals - old) <= cfg.tol * np.maximum(1.0, np.abs(old)))
+            dst[idx[0][up], idx[1][up]] = cand[up]
+            values[idx] = np.where(up, vals, old)
+            stall[idx] = np.where(small, stall[idx] + 1, 0)
         new_best = values.max(axis=1)
         risen = new_best - best > cfg.tol * np.maximum(1.0, np.abs(best))
         flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)
@@ -424,7 +401,6 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
         keep = ~finished
         ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
         values, stall, best, flat = values[keep], stall[keep], best[keep], flat[keep]
-        e_unit_sp, e_unit_r = e_unit_sp[keep], e_unit_r[keep]
         r_k, sp_k = r_k[keep], sp_k[keep]
     return out
 

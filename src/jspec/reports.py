@@ -83,17 +83,19 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignConfig":
-        keys = {f.name for f in fields(cls)}
-        unknown = set(d) - keys
-        if unknown:
-            raise ReportError(f"unknown config fields: {sorted(unknown)}")
-        missing = keys - set(d)
-        if missing:
-            raise ReportError(f"missing config fields: {sorted(missing)}")
+        _check_fields(cls, d, "config")
         return cls(**d)
 
 
-_REPORT_KEYS = ("schema", "suite", "config", "passed", "margins", "witnesses", "wall_time", "checksum")
+def _check_fields(cls, d: dict, what: str) -> None:
+    """Reject a JSON object whose keys are not exactly cls's fields."""
+    keys = {f.name for f in fields(cls)}
+    unknown = set(d) - keys
+    if unknown:
+        raise ReportError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = keys - set(d)
+    if missing:
+        raise ReportError(f"missing {what} fields: {sorted(missing)}")
 
 
 def _canonical(payload: dict) -> bytes:
@@ -145,27 +147,13 @@ class SuiteReport:
 
     @classmethod
     def from_json(cls, d: dict) -> "SuiteReport":
-        unknown = set(d) - set(_REPORT_KEYS)
-        if unknown:
-            raise ReportError(f"unknown report fields: {sorted(unknown)}")
-        missing = set(_REPORT_KEYS) - set(d)
-        if missing:
-            raise ReportError(f"missing report fields: {sorted(missing)}")
+        _check_fields(cls, d, "report")
         if d["schema"] != SCHEMA_VERSION:
             raise ReportError(
                 f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}; "
                 "it was written by an older estimator, so re-run its campaign"
             )
-        rep = cls(
-            suite=d["suite"],
-            config=d["config"],
-            passed=d["passed"],
-            margins=d["margins"],
-            witnesses=d["witnesses"],
-            wall_time=d["wall_time"],
-            schema=d["schema"],
-            checksum=d["checksum"],
-        )
+        rep = cls(**d)
         if rep.compute_checksum() != d["checksum"]:
             raise ReportError("checksum mismatch: report content was altered")
         return rep

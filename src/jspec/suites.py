@@ -479,32 +479,33 @@ def _suite_cp_table(cfg: CampaignConfig):
 
 
 def _suite_clarkson(cfg: CampaignConfig):
-    """Scalar inequality fuzzing across the grid (finite p only)."""
-    rows = []
-    two_point = refined = aggregate = None
+    """Scalar inequality fuzzing across the grid (finite p only); each
+    witness row keeps its check's worst pair."""
+    results = []
     for i, p in enumerate(cfg.exponents):
         if p.is_inf:
             continue
         if p.value >= 2.0:
-            res = clarkson_check(p, trials=cfg.trials, seed=derive_seed(cfg.seed, 14, i))
-            rows.append({"p": p.value, "kind": res.name, "max_violation": res.max_violation})
-            two_point = max(two_point, res.max_violation) if two_point is not None else res.max_violation
+            results.append(clarkson_check(p, trials=cfg.trials, seed=derive_seed(cfg.seed, 14, i)))
         if p.value <= 2.0:
-            res = refined_clarkson_check(p, trials=cfg.trials, seed=derive_seed(cfg.seed, 15, i))
-            rows.append({"p": p.value, "kind": res.name, "max_violation": res.max_violation})
-            refined = max(refined, res.max_violation) if refined is not None else res.max_violation
-        res = aggregate_split_check(p, cfg.n, trials=min(cfg.trials, 10**4), seed=derive_seed(cfg.seed, 16, i))
-        rows.append({"p": p.value, "kind": res.name, "max_violation": res.max_violation})
-        aggregate = max(aggregate, res.max_violation) if aggregate is not None else res.max_violation
-    if not rows:
+            results.append(refined_clarkson_check(p, trials=cfg.trials, seed=derive_seed(cfg.seed, 15, i)))
+        agg_trials = min(cfg.trials, 10**4)
+        results.append(aggregate_split_check(p, cfg.n, trials=agg_trials, seed=derive_seed(cfg.seed, 16, i)))
+    if not results:
         raise ReportError("clarkson suite needs at least one finite grid exponent")
     margins = {
-        "max_two_point_violation": two_point,
-        "max_refined_violation": refined,
-        "max_aggregate_violation": aggregate,
+        key: max((res.max_violation for res in results if res.name == name), default=None)
+        for key, name in (
+            ("max_two_point_violation", "two-point"),
+            ("max_refined_violation", "refined two-point"),
+            ("max_aggregate_violation", "aggregate split"),
+        )
     }
-    vals = [v for v in (two_point, refined, aggregate) if v is not None]
-    return max(vals) <= 1e-12, margins, rows
+    rows = [
+        {"p": res.p, "kind": res.name, "max_violation": res.max_violation, "worst": res.worst}
+        for res in results
+    ]
+    return max(res.max_violation for res in results) <= 1e-12, margins, rows
 
 
 _SUITES = {

@@ -13,6 +13,7 @@ from jspec import (
     Element,
     EstimatorConfig,
     ExponentPair,
+    ExtExponent,
     UnsupportedCaseError,
     check_corollary4,
     check_theorem1,
@@ -22,7 +23,9 @@ from jspec import (
     complex_p_norm,
     conjugate,
     cp_constant,
+    estimate_many,
     inner_product,
+    interpolation,
     lyapunov,
     op_norm_estimate,
     p_norm,
@@ -168,6 +171,27 @@ class TestTheoremChecks:
             rep = check_theorem1(t, 1.5, 3, theta, CFG)
             assert rep.margin == 0.0
             assert rep.seeds["rerun"] is None
+
+    def test_violation_triggers_one_wider_rerun(self, monkeypatch):
+        # at theta = 0 the left side and the one endpoint norm are the same
+        # estimate, so constant 0.5 fails by half the norm on both passes
+        calls = []
+
+        def spy(problems):
+            ests = estimate_many(problems)
+            calls.append(([cfg for *_, cfg in problems], [est.lower_bound for est in ests]))
+            return ests
+
+        monkeypatch.setattr(interpolation, "estimate_many", spy)
+        a, b = ExtExponent(1.5), ExtExponent(3.0)
+        t = random_map(SYM3, 29)
+        rep = interpolation._interp_report(t, "theorem1", (a, a), (a, a), (b, b), 0.0, 0.5, CFG)
+        assert rep.seeds == {"estimator": CFG.seed, "rerun": CFG.seed + 101}
+        assert len(calls) == 2
+        assert all(cfg == CFG for cfg in calls[0][0])
+        assert all(cfg.restarts == 4 * CFG.restarts and cfg.seed == CFG.seed + 101 for cfg in calls[1][0])
+        assert rep.lhs_lower == max(calls[0][1][0], calls[1][1][0])
+        assert rep.violated
 
     def test_theorem1_equal_exponents_exact(self):
         rep = check_theorem1(random_map(SYM3, 27), 2.5, 2.5, 0.37, CFG)

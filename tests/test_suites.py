@@ -89,6 +89,15 @@ class TestAllSuitesSmoke:
         w = rep.witnesses[0]
         assert {"theorem", "lhs_lower", "rhs", "margin", "violated"} <= set(w)
 
+    def test_clarkson_witnesses_carry_worst_pair(self):
+        rep = run_suite(_smoke_cfg("clarkson"))
+        assert len(rep.witnesses) == 9  # p = 1, 1.5 and 3: two checks each; p = 2: all three
+        for row in rep.witnesses:
+            assert row["worst"]["violation"] == row["max_violation"]
+            assert set(row["worst"]) == ({"x", "y", "violation"} if row["kind"] == "aggregate split"
+                                         else {"z", "w", "violation"})
+        assert SuiteReport.from_json(rep.to_json()).witnesses == rep.witnesses
+
     def test_corollary4_needs_two_distinct_exponents(self):
         with pytest.raises(ReportError):
             run_suite(_smoke_cfg("corollary4", grid=(2,)))
@@ -126,8 +135,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("floats", [1, 77])
     def test_scalar_witnesses_do_not_depend_on_block_size(self, monkeypatch, floats):
-        # clarkson reports keep only the violations; the checks keep the
-        # worst pair too (p = 2 aggregation ties at its maximum)
+        # the checks' worst pairs, compared directly (p = 2 aggregation
+        # ties at its maximum)
         def run():
             return [
                 cp_oracle.clarkson_check(3, trials=400, seed=4),

@@ -7,8 +7,12 @@ checkouts, one subprocess per checkout, and compares the reports side by
 side:
 
     python3 scripts/report_diff.py --parent ../jspec-parent --change . --seeds 1,2
+    python3 scripts/report_diff.py --parent ../jspec-parent --change . \
+        --seeds 1-20 --workload est-small
 
-For each workload it prints how many reports keep the parent's checksum
+--seeds takes lists and ranges, as in ``scripts/bench_pairs.py``;
+--workload (repeatable) keeps only the named workloads. For each workload
+it prints how many reports keep the parent's checksum
 and the worst margin drift, on the measure of ``reports.margins_match``
 (the replay measure); then one line per report whose checksum changed.
 It exits 1 when any drift exceeds the replay tolerance of 1e-12, or when
@@ -28,21 +32,28 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+from bench_pairs import parse_seeds  # noqa: E402  the one seed parser of scripts/
+
 TOL = 1e-12  # the replay tolerance
 SIDES = ("parent", "change")
 
 
-def collect(checkout: Path, seeds: list[int]) -> dict:
-    """Run every campaign in this process through the checkout's own CLI.
+def collect(checkout: Path, seeds: list[int], workloads: list[str] | None = None) -> dict:
+    """Run every campaign of the given workloads (all when None) in this
+    process through the checkout's own CLI.
     Returns {workload: {label: {"checksum", "margins"} or None}}."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import jspec.cli
     from workloads import WORKLOADS, campaigns, warmups
 
+    unknown = sorted(set(workloads or ()) - set(WORKLOADS))
+    if unknown:
+        raise SystemExit(f"unknown workload(s) {', '.join(unknown)}; expected {', '.join(WORKLOADS)}")
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
-        for name in WORKLOADS:
+        for name in workloads or WORKLOADS:
             camps = [(c.label, c) for c in warmups(name)]
             camps += [(f"{c.label} seed {s}", c) for s in seeds for c in campaigns(name, s)]
             for label, camp in camps:
@@ -85,20 +96,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, help="checkout of the change")
-    ap.add_argument("--seeds", default="1,2", help="workload seeds, e.g. 1,2")
+    ap.add_argument("--seeds", default="1,2", help="workload seeds, e.g. 1,2 or 1-20")
+    ap.add_argument("--workload", action="append", help="compare only this workload (repeatable)")
     ap.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = parse_seeds(args.seeds)
     if args.collect:
-        print(json.dumps(collect(args.collect.resolve(), seeds)))
+        print(json.dumps(collect(args.collect.resolve(), seeds, args.workload)))
         return 0
     if args.parent is None or args.change is None:
         ap.error("--parent and --change are required")
 
+    only = [opt for name in args.workload or () for opt in ("--workload", name)]
     procs = {
         side: subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--collect", str(checkout.resolve()),
-             "--seeds", args.seeds],
+             "--seeds", args.seeds, *only],
             stdout=subprocess.PIPE, text=True,
         )
         for side, checkout in zip(SIDES, (args.parent, args.change))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -184,13 +184,16 @@ def _interp_report(
     theta: float,
     constant: float,
     cfg: EstimatorConfig,
+    first: Sequence[float] | None = None,
 ) -> BoundReport:
     """Shared check core. Estimates all three norms with matched seeds,
     so degenerate instances (equal exponent pairs, theta at an endpoint)
     cancel exactly; near-violations trigger one re-estimation pass at
     4x restarts with a shifted seed, keeping the max (still a valid
-    lower bound for each norm)."""
-    lhs, m0, m1 = _estimates(t, (lhs_rs, end0, end1), cfg)
+    lower bound for each norm). first holds the first pass's lower
+    bounds for (lhs, end0, end1) when the caller already has them from
+    one estimate_many call with cfg."""
+    lhs, m0, m1 = _estimates(t, (lhs_rs, end0, end1), cfg) if first is None else first
     seeds = {"estimator": cfg.seed, "rerun": None}
 
     def rhs_of(m0v, m1v):
@@ -231,12 +234,16 @@ def check_theorem1(
     p1: ExponentLike,
     theta: float,
     cfg: EstimatorConfig | None = None,
+    first: Sequence[float] | None = None,
 ) -> BoundReport:
-    """Diagonal interpolation with constant 1."""
+    """Diagonal interpolation with constant 1. first optionally holds the
+    lower bounds of ||T||_{p->p} at p = p_theta, p0, p1 that
+    estimate_many already returned for cfg, so the first pass is not
+    estimated again."""
     cfg = cfg or EstimatorConfig()
     a, b = ExtExponent.coerce(p0), ExtExponent.coerce(p1)
     pt = interpolate(a, b, theta)
-    return _interp_report(t, "theorem1", (pt, pt), (a, a), (b, b), theta, 1.0, cfg)
+    return _interp_report(t, "theorem1", (pt, pt), (a, a), (b, b), theta, 1.0, cfg, first)
 
 
 def check_theorem2(

@@ -242,7 +242,10 @@ class NormEstimate:
     """Certified lower bound for ||T||_{r->s} with attaining witnesses.
 
     stop says why the ascent ended: "zero-map", "stalled" (every restart
-    stalled), "patience" (the best value stopped rising) or "max_iters".
+    stalled), "certified" (the bound is within tol * max(1, upper) of the
+    upper bound sigma_max(T) n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), so
+    within that distance of the true norm), "patience" (the best value
+    stopped rising) or "max_iters".
     """
 
     lower_bound: float
@@ -254,25 +257,27 @@ class NormEstimate:
     stop: str
 
 
-def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, float]:
     """Start rows before normalization: the unit, the top right singular
     vector, frame idempotents, then Gaussians; restart k draws from its
-    own generator (cfg.seed, k)."""
+    own generator (cfg.seed, k). Also returns sigma_max(mat), from the
+    same SVD."""
     n_restarts = max(1, cfg.restarts)
     rows = np.empty((n_restarts, alg.dim))
     n_sparse = min(n_restarts, 2 + n_restarts // 4)
+    _, sv, vt = np.linalg.svd(mat)
     for k in range(n_restarts):
         rng = np.random.default_rng((cfg.seed, k))
         if k == 0:
             rows[k] = alg.unit_coords()
         elif k == 1:
-            rows[k] = np.linalg.svd(mat)[2][0]
+            rows[k] = vt[0]
         elif k < n_sparse:
             frame = alg.random_frame(rng)
             rows[k] = frame[rng.integers(alg.rank)]
         else:
             rows[k] = rng.standard_normal(alg.dim)
-    return rows
+    return rows, float(sv[0])
 
 
 def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
@@ -281,25 +286,32 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     Each problem is a tuple (t, r, s, cfg) with its own map, exponents
     and seed (cfg None means EstimatorConfig()). All maps live on one
     algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
-    problems (ValueError otherwise). The restarts of all problems form
-    one (problems, restarts, dim) stack. Since ||T*||_{s'->r'} =
-    ||T||_{r->s}, both half-steps are one step: a -> b peaks T a in the
-    s' ball, b -> a peaks T* b in the r ball, and each reads its
-    objective off the rows it mapped. A half-step costs one matmul over
-    the whole stack, then one decomposition and one rebuild that cover
-    only the restarts that have not stalled and whose exponent is not 2
-    (the p = 2 peak is c / ||c||_2). A restart stalls after two
-    half-steps in a row that raise its objective by at most
-    tol * max(1, |objective|); the first half-step, which rises from
-    -inf, never counts. A problem leaves the stack once all its restarts
-    have stalled, once its best value has risen by at most
-    tol * max(1, |best|) in each of _PATIENCE full iterations in a row,
-    or at max_iters. Restart k of a problem draws its own generator from
-    (cfg.seed, k) and every stop rule reads only the problem's own rows,
-    so each result equals the one the problem gets alone. Returns one
-    estimate per problem, in order; each is a valid lower bound,
-    converged means its best restart stalled, and stop names the rule
-    that ended it.
+    problems (ValueError otherwise). Problems with the same map bytes,
+    exponents and cfg are solved once and share one estimate. The
+    restarts of all distinct problems form one (problems, restarts, dim)
+    stack. Since ||T*||_{s'->r'} = ||T||_{r->s}, both half-steps are one
+    step: a -> b peaks T a in the s' ball, b -> a peaks T* b in the r
+    ball, and each reads its objective off the rows it mapped. A
+    half-step costs one matmul over the whole stack, then one
+    decomposition and one rebuild that cover only the restarts that have
+    not stalled and whose exponent is not 2 (the p = 2 peak is
+    c / ||c||_2). A restart stalls after two half-steps in a row that
+    raise its objective by at most tol * max(1, |objective|); the first
+    half-step, which rises from -inf, never counts. With n = alg.rank,
+    ||a||_2 <= n^max(0, 1/2 - 1/r) ||a||_r and ||b||_s <=
+    n^max(0, 1/s - 1/2) ||b||_2, so ||T||_{r->s} <= upper = sigma_max(T)
+    n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), which is tight for r <= 2
+    <= s when T attains its 2 -> 2 norm there. A problem leaves the
+    stack once all its restarts have stalled, once its best value
+    reaches upper - tol * max(1, upper) (certified), once its best value
+    has risen by at most tol * max(1, |best|) in each of _PATIENCE full
+    iterations in a row, or at max_iters; the first rule that holds
+    names the stop. Restart k of a problem draws its own generator from
+    (cfg.seed, k) and every stop rule reads only the problem's own map,
+    exponents and rows, so each result equals the one the problem gets
+    alone. Returns one estimate per problem, in order; each is a valid
+    lower bound, converged means its best restart stalled, and stop
+    names the rule that ended it.
     """
     probs = [
         (t, ExtExponent.coerce(r), ExtExponent.coerce(s), cfg or EstimatorConfig())
@@ -313,6 +325,16 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
             raise AlgebraMismatchError("estimate_many needs every map on one algebra")
         if (c.restarts, c.max_iters, c.tol) != (cfg.restarts, cfg.max_iters, cfg.tol):
             raise ValueError("estimate_many needs one restarts, max_iters and tol for every problem")
+    keys = [(t.matrix.tobytes(), r, s, c) for t, r, s, c in probs]
+    distinct: dict = {}
+    for key, prob in zip(keys, probs):
+        distinct.setdefault(key, prob)
+    solved = dict(zip(distinct, _ascent(alg, cfg, list(distinct.values()))))
+    return [solved[key] for key in keys]
+
+
+def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimate]:
+    """estimate_many's ascent over distinct, coerced problems."""
     n_restarts = max(1, cfg.restarts)
     max_iters = max(1, cfg.max_iters)
     e = alg.unit_coords()
@@ -343,14 +365,18 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     sp_units = np.stack([unit_at(p) for p in sp_exps])
     mats = np.stack([probs[i][0].matrix for i in live])
     a_rows = np.empty((len(live), n_restarts, alg.dim))
+    cert = np.empty(len(live))  # a best value at or above this is certified
     starts: dict = {}  # problems on one map with one seed share their draws
     for j, i in enumerate(live):
-        key = (probs[i][3].seed, mats[j].tobytes())
+        _, rex, sex, c = probs[i]
+        key = (c.seed, mats[j].tobytes())
         if key not in starts:
-            rows = _starts(alg, mats[j], probs[i][3])
-            starts[key] = rows, alg.eigenvalues(rows)
-        rows, lam = starts[key]
-        a_rows[j] = rows / vector_pnorm(lam, probs[i][1])[:, None]
+            rows, sigma = _starts(alg, mats[j], c)
+            starts[key] = rows, alg.eigenvalues(rows), sigma
+        rows, lam, sigma = starts[key]
+        a_rows[j] = rows / vector_pnorm(lam, rex)[:, None]
+        upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
+        cert[j] = upper - cfg.tol * max(1.0, upper)
     b_rows = np.repeat(sp_units[sp_k][:, None, :], n_restarts, axis=1)
     values = np.full((len(live), n_restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
@@ -383,8 +409,9 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
         flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)
         best = new_best
         stalled = np.all(stall >= 2, axis=1)
+        certified = best >= cert
         patient = flat >= _PATIENCE
-        finished = stalled | patient | (it + 1 == max_iters)
+        finished = stalled | certified | patient | (it + 1 == max_iters)
         for j in np.flatnonzero(finished):
             k = int(np.argmax(values[j]))
             out[ids[j]] = NormEstimate(
@@ -394,14 +421,15 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
                 iterations=it + 1,
                 restarts_used=n_restarts,
                 converged=bool(stall[j, k] >= 2),
-                stop="stalled" if stalled[j] else "patience" if patient[j] else "max_iters",
+                stop=("stalled" if stalled[j] else "certified" if certified[j]
+                      else "patience" if patient[j] else "max_iters"),
             )
         if finished.all():
             break
         keep = ~finished
         ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
         values, stall, best, flat = values[keep], stall[keep], best[keep], flat[keep]
-        r_k, sp_k = r_k[keep], sp_k[keep]
+        r_k, sp_k, cert = r_k[keep], sp_k[keep], cert[keep]
     return out
 
 

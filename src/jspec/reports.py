@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ReportError
 from .exponents import ExtExponent
@@ -98,6 +99,17 @@ def _check_fields(cls, d: dict, what: str) -> None:
         raise ReportError(f"missing {what} fields: {sorted(missing)}")
 
 
+def _check_types(cls, d: dict, what: str) -> None:
+    """Reject a JSON object whose values do not have cls's field types
+    (a float field also takes an int, and no field takes a bool it does
+    not declare)."""
+    for name, typ in get_type_hints(cls).items():
+        value = d[name]
+        want = (int, float) if typ is float else typ
+        if not isinstance(value, want) or (isinstance(value, bool) and typ is not bool):
+            raise ReportError(f"{what} field {name!r} must be of type {typ.__name__}, got {value!r}")
+
+
 def _canonical(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 
@@ -148,6 +160,7 @@ class SuiteReport:
     @classmethod
     def from_json(cls, d: dict) -> "SuiteReport":
         _check_fields(cls, d, "report")
+        _check_types(cls, d, "report")
         if d["schema"] != SCHEMA_VERSION:
             raise ReportError(
                 f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}; "

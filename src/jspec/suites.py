@@ -33,7 +33,7 @@ from .cp_oracle import (
 )
 from .elements import p_norm, random_element, unit
 from .errors import DegenerateInputError, ReportError
-from .exponents import ExtExponent, cp_constant, vector_pnorm
+from .exponents import ExtExponent, cp_constant, interpolate, vector_pnorm
 from .interpolation import (
     ExponentPair,
     check_corollary4,
@@ -360,14 +360,14 @@ def _suite_theorem1(cfg: CampaignConfig):
         ecfg = _est_cfg(cfg, trial)
         theta = float(rng.uniform())
         p0, p1 = _pick(rng, exps), _pick(rng, exps)
-        extra = {}
-        if trial % 5 == 4:
-            t = random_doubly_stochastic(alg, rng)
-            ests = estimate_many([(t, p, p, ecfg) for p in (p0, p1)])
-            extra["ds_overshoot"] = float(max(est.lower_bound - 1.0 for est in ests))
-        else:
-            t = random_map(alg, rng)
-        return check_theorem1(t, p0, p1, theta, ecfg), extra
+        if trial % 5 != 4:
+            return check_theorem1(random_map(alg, rng), p0, p1, theta, ecfg), {}
+        # the probe's diagonal norms are the check's first-pass endpoint norms
+        t = random_doubly_stochastic(alg, rng)
+        pt = interpolate(p0, p1, theta)
+        first = [est.lower_bound for est in estimate_many([(t, p, p, ecfg) for p in (pt, p0, p1)])]
+        extra = {"ds_overshoot": float(max(m - 1.0 for m in first[1:]))}
+        return check_theorem1(t, p0, p1, theta, ecfg, first=first), extra
 
     return _interp_suite(cfg, checker)
 

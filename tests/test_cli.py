@@ -143,6 +143,20 @@ class TestReplay:
         assert run_cli("replay", str(out)) == 2
         assert "trials must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("margins", 5), ("config", 5), ("witnesses", 5), ("passed", 1),
+        ("suite", ["gen-holder"]), ("wall_time", "0.1"), ("wall_time", True),
+    ])
+    def test_replay_bad_field_type_exit_two(self, tmp_path, capsys, field, value):
+        # a checksummed report with a mistyped field is a data error
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data[field] = value
+        self._reseal(out, data)
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 2
+        assert f"report field {field!r} must be of type" in capsys.readouterr().err
+
     def test_replay_unknown_suite_exit_two(self, tmp_path, capsys):
         out = self._write_report(tmp_path)
         data = json.loads(out.read_text())

@@ -25,6 +25,7 @@ from jspec import (
     cp_constant,
     estimate_many,
     inner_product,
+    interpolate,
     interpolation,
     lyapunov,
     op_norm_estimate,
@@ -192,6 +193,17 @@ class TestTheoremChecks:
         assert all(cfg.restarts == 4 * CFG.restarts and cfg.seed == CFG.seed + 101 for cfg in calls[1][0])
         assert rep.lhs_lower == max(calls[0][1][0], calls[1][1][0])
         assert rep.violated
+
+    def test_theorem1_takes_first_pass_from_caller(self, monkeypatch):
+        t = random_map(SYM3, 31)
+        p0, p1, theta = ExtExponent(1.5), ExtExponent(4.0), 0.3
+        pt = interpolate(p0, p1, theta)
+        first = [est.lower_bound for est in estimate_many([(t, p, p, CFG) for p in (pt, p0, p1)])]
+        want = check_theorem1(t, p0, p1, theta, CFG)
+        calls = []
+        monkeypatch.setattr(interpolation, "estimate_many", lambda problems: calls.append(problems))
+        assert check_theorem1(t, p0, p1, theta, CFG, first=first) == want
+        assert calls == [] and not want.seeds["rerun"]
 
     def test_theorem1_equal_exponents_exact(self):
         rep = check_theorem1(random_map(SYM3, 27), 2.5, 2.5, 0.37, CFG)

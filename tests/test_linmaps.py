@@ -298,9 +298,14 @@ class TestEstimator:
         # as progress, not as a stall
         t = identity_map(parse_algebra("sym:3"))
         est = op_norm_estimate(t, r, r, EstimatorConfig(restarts=4, max_iters=50, seed=0))
-        assert est.iterations == 2
-        assert est.converged
         assert est.lower_bound == pytest.approx(1.0, rel=1e-12)
+        if r == 2:
+            # ||I||_{2->2} = sigma_max(I) certifies the first iteration; had
+            # its first half-step counted as a stall, it would stop "stalled"
+            assert (est.stop, est.iterations, est.converged) == ("certified", 1, False)
+        else:
+            assert (est.stop, est.iterations) == ("stalled", 2)
+            assert est.converged
 
 
 class TestEstimateMany:
@@ -367,19 +372,29 @@ class TestEstimateMany:
             estimate_many([(t2, 2, 2, FAST), (t3, 2, 2, FAST)])
 
 
+STOPS = ["zero-map", "stalled", "patience", "max_iters", "certified"]
+
+
 def _stop_batch(max_iters):
-    """On sym:3, one problem per stop reason: a zero map, the identity
-    (every restart stalls at once), a chart-diagonal 2 -> 2 map whose
-    top singular vector is restart 1 while the other restarts creep up
-    at rate 0.999**2, and a random 1 -> 1 map that still climbs."""
+    """On sym:3, one problem per stop reason, in STOPS order: a zero map,
+    the identity at 3 -> 3 (every restart stalls at once), a 3 -> 3 map
+    that scales the diagonal matrix units E11, E22, E33 (chart
+    coordinates 0, 3, 5) by 1, 0.99, 0.98 and the off-diagonal
+    coordinates by 0.5, whose norm 1 is attained at its top singular
+    vector (restart 1) while the other restarts creep up, a random
+    1 -> 1 map that still climbs, and a chart-diagonal 2 -> 2 map whose
+    first iteration reaches its top singular value. Only the last has
+    r <= 2 <= s, where the certificate is tight."""
     alg = parse_algebra("sym:3")
     cfg = EstimatorConfig(restarts=4, max_iters=max_iters, tol=1e-12, seed=0)
+    plateau = LinearMap(alg, np.diag([1.0, 0.5, 0.5, 0.99, 0.5, 0.98]))
     creep = LinearMap(alg, np.diag([1.0, 0.999, 0.5, 0.5, 0.5, 0.5]))
     return [
         (LinearMap(alg, np.zeros((alg.dim, alg.dim))), 2, 3, cfg),
         (identity_map(alg), 3, 3, cfg),
-        (creep, 2, 2, cfg),
+        (plateau, 3, 3, cfg),
         (random_map(alg, 80), 1, 1, cfg),
+        (creep, 2, 2, cfg),
     ]
 
 
@@ -390,7 +405,7 @@ def _reference_restarts(t, r, s, cfg, iterations):
     rex, sp = ExtExponent.coerce(r), ExtExponent.coerce(s).conjugate
     e = unit(alg)
     out = []
-    for row in _starts(alg, m, cfg):
+    for row in _starts(alg, m, cfg)[0]:
         a = row / p_norm(Element(alg, row), rex)
         b = e.coords / p_norm(e, sp)
         value, stall = -math.inf, 0
@@ -420,8 +435,8 @@ def _reference_restarts(t, r, s, cfg, iterations):
 class TestPatience:
     def test_stop_reasons(self):
         ests = estimate_many(_stop_batch(10))
-        assert [est.stop for est in ests] == ["zero-map", "stalled", "patience", "max_iters"]
-        assert [est.iterations for est in ests] == [0, 2, 1 + _PATIENCE, 10]
+        assert [est.stop for est in ests] == STOPS
+        assert [est.iterations for est in ests] == [0, 2, 1 + _PATIENCE, 10, 1]
 
     def test_plateaued_best_leaves_before_max_iters(self, monkeypatch):
         # the best restart is optimal from its start while the others
@@ -441,9 +456,10 @@ class TestPatience:
         if case == "rising-best":
             # a still-rising restart reaches the plateau value in the last
             # iteration; it comes first among the restarts attaining the
-            # best, so the best restart has not stalled
+            # best, so the best restart has not stalled (1.2 -> 1.8 keeps
+            # the ascent out of r <= 2 <= s, where it would certify)
             alg = parse_algebra("rn:3")
-            prob = (LinearMap(alg, np.diag([1.0, 0.99, 0.98])), 1.5, 3,
+            prob = (LinearMap(alg, np.diag([1.0, 0.99, 0.98])), 1.2, 1.8,
                     EstimatorConfig(restarts=4, max_iters=30, tol=1e-12, seed=0))
         elif case == "random":
             prob = (random_map(parse_algebra("sym:2,spin:3"), 83), 3, 1.25, FAST)
@@ -465,8 +481,81 @@ class TestPatience:
             (problems[2][0], 2, 2, replace(cfg, seed=2)),
         ]
         batch = estimate_many(problems)
-        assert {est.stop for est in batch} == {"zero-map", "stalled", "patience", "max_iters"}
+        assert {est.stop for est in batch} == set(STOPS)
         for prob, got in zip(problems, batch):
+            want = op_norm_estimate(*prob)
+            assert (got.stop, got.iterations, got.converged) == (want.stop, want.iterations, want.converged)
+            assert got.lower_bound == want.lower_bound
+            assert np.array_equal(got.witness_a.coords, want.witness_a.coords)
+            assert np.array_equal(got.witness_b.coords, want.witness_b.coords)
+
+
+def _upper(t, r, s):
+    """sigma_max(T) n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), n the rank:
+    ||T||_{r->s} never exceeds it."""
+    rex, sex = ExtExponent.coerce(r), ExtExponent.coerce(s)
+    n = t.algebra.rank
+    sigma = float(np.linalg.svd(t.matrix, compute_uv=False)[0])
+    return sigma * n ** max(0.0, 0.5 - rex.inv) * n ** max(0.0, sex.inv - 0.5)
+
+
+TIGHT = [(1, 2), (2, 2), (4 / 3, 3), (2, math.inf), (1, math.inf)]  # r <= 2 <= s
+
+
+class TestCertified:
+    @pytest.mark.parametrize("r,s", TIGHT)
+    def test_identity_and_lyapunov_certify(self, algebra, r, s):
+        # both attain their 2 -> 2 norm sigma_max at r <= 2 <= s
+        for t in (identity_map(algebra), lyapunov(random_element(algebra, 91))):
+            est = op_norm_estimate(t, r, s, FAST)
+            assert (est.stop, est.iterations) == ("certified", 1)
+            assert est.lower_bound >= _upper(t, r, s) - FAST.tol * max(1.0, _upper(t, r, s))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    @pytest.mark.parametrize("kind", ["lyapunov", "quadratic"])
+    def test_certified_bound_is_within_tol_of_closed_form(self, algebra, kind, tol):
+        a = random_element(algebra, 92)
+        t = lyapunov(a) if kind == "lyapunov" else quadratic_rep(a)
+        cfg = replace(FAST, restarts=4, tol=tol)
+        for (r, s), est in zip(TIGHT, estimate_many([(t, r, s, cfg) for r, s in TIGHT])):
+            exact = closed_form_norm(kind, r, s, a=a).exact
+            slack = tol * max(1.0, _upper(t, r, s))
+            assert est.stop == "certified"
+            assert est.lower_bound <= exact * (1.0 + 1e-12)
+            assert exact - est.lower_bound <= slack + 1e-12 * max(1.0, exact)
+
+    def test_random_map_at_three_three_never_certifies(self, algebra):
+        # ||T||_{3->3} < sigma_max n^(1/6) for a generic map
+        for seed in range(5):
+            t = random_map(algebra, 93 + seed)
+            est = op_norm_estimate(t, 3, 3, replace(FAST, seed=seed))
+            assert est.stop != "certified"
+            assert est.lower_bound < _upper(t, 3, 3) * (1.0 - 1e-3)
+
+    def test_upper_bound_holds_for_every_pair(self, algebra):
+        # the certificate is sound only if no estimate exceeds the bound
+        grid = [1, 4 / 3, 2, 3, math.inf]
+        t = random_map(algebra, 94)
+        pairs = [(r, s) for r in grid for s in grid]
+        for (r, s), est in zip(pairs, estimate_many([(t, r, s, FAST) for r, s in pairs])):
+            assert est.lower_bound <= _upper(t, r, s) * (1.0 + 1e-12)
+
+    def test_repeated_problems_are_solved_once(self, decomp_rows):
+        # every stop reason, each problem twice: once as in _stop_batch and
+        # once on a copied map with exponents spelled differently; the two
+        # share one estimate, equal bit for bit to the problem alone, and
+        # the batch decomposes no more rows than the distinct problems do
+        problems = _stop_batch(10)
+        copies = [(LinearMap(t.algebra, t.matrix.copy()), str(r), float(s), replace(c))
+                  for t, r, s, c in problems]
+        estimate_many(problems)
+        distinct_rows = sum(decomp_rows)
+        decomp_rows.clear()
+        batch = estimate_many([p for pair in zip(problems, copies) for p in pair])
+        assert sum(decomp_rows) == distinct_rows
+        assert [est.stop for est in batch[::2]] == STOPS
+        for prob, got, twin in zip(problems, batch[::2], batch[1::2]):
+            assert twin is got
             want = op_norm_estimate(*prob)
             assert (got.stop, got.iterations, got.converged) == (want.stop, want.iterations, want.converged)
             assert got.lower_bound == want.lower_bound

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "scripts" / "report_diff.py"
 _SPEC = importlib.util.spec_from_file_location("report_diff", _PATH)
 report_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(report_diff)
@@ -41,3 +42,21 @@ def test_missing_reports_and_margin_keys_drift_by_inf():
     assert rows["est"]["changed"] == {"a": math.inf, "b": math.inf, "c": math.inf}
     assert rows["est"]["same_checksum"] == 0
     assert rows["new"]["worst_drift"] == math.inf
+
+
+def test_seeds_take_ranges_and_lists():
+    assert report_diff.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    assert report_diff.parse_seeds("2") == [2]
+
+
+def test_collect_keeps_only_the_named_workloads():
+    # no seeds: only the warm-ups run, which keeps this quick
+    reports = report_diff.collect(ROOT, [], ["bulk-fuzz"])
+    assert list(reports) == ["bulk-fuzz"]
+    assert list(reports["bulk-fuzz"]) == [f"warmup:{s}" for s in ("ftvn", "holder", "gen-holder", "clarkson", "cp-table")]
+    assert all(rep is not None and rep["checksum"] for rep in reports["bulk-fuzz"].values())
+
+
+def test_collect_rejects_unknown_workload():
+    with pytest.raises(SystemExit, match="unknown workload"):
+        report_diff.collect(ROOT, [1], ["nope"])

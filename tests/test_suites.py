@@ -98,6 +98,26 @@ class TestAllSuitesSmoke:
                                          else {"z", "w", "violation"})
         assert SuiteReport.from_json(rep.to_json()).witnesses == rep.witnesses
 
+    def test_theorem1_one_estimator_call_per_trial(self, monkeypatch):
+        # the doubly stochastic probe (trial 4 of 5) reads the check's
+        # first-pass endpoint norms, so each trial makes one estimate_many
+        # call of three problems, plus one per rerun
+        from jspec import interpolation, suites
+
+        calls = []
+        real = suites.estimate_many
+
+        def spy(problems):
+            calls.append(len(problems))
+            return real(problems)
+
+        monkeypatch.setattr(suites, "estimate_many", spy)
+        monkeypatch.setattr(interpolation, "estimate_many", spy)
+        cfg = _smoke_cfg("theorem1")
+        rep = run_suite(cfg)
+        assert "max_ds_overshoot" in rep.margins
+        assert calls == [3] * (cfg.trials + rep.margins["reruns"])
+
     def test_corollary4_needs_two_distinct_exponents(self):
         with pytest.raises(ReportError):
             run_suite(_smoke_cfg("corollary4", grid=(2,)))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,14 +50,17 @@ def test_seeds_take_ranges_and_lists():
     assert report_diff.parse_seeds("2") == [2]
 
 
-def test_collect_keeps_only_the_named_workloads():
+def test_collect_keeps_only_the_named_workloads(monkeypatch):
     # no seeds: only the warm-ups run, which keeps this quick
+    monkeypatch.setattr(sys, "path", list(sys.path))  # collect prepends the checkout
     reports = report_diff.collect(ROOT, [], ["bulk-fuzz"])
     assert list(reports) == ["bulk-fuzz"]
-    assert list(reports["bulk-fuzz"]) == [f"warmup:{s}" for s in ("ftvn", "holder", "gen-holder", "clarkson", "cp-table")]
+    suites = ("ftvn", "holder", "gen-holder", "clarkson", "cp-table")
+    assert list(reports["bulk-fuzz"]) == [f"warmup:{s}" for s in suites]
     assert all(rep is not None and rep["checksum"] for rep in reports["bulk-fuzz"].values())
 
 
-def test_collect_rejects_unknown_workload():
+def test_collect_rejects_unknown_workload(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
     with pytest.raises(SystemExit, match="unknown workload"):
         report_diff.collect(ROOT, [1], ["nope"])

@@ -15,8 +15,8 @@ side:
 it prints how many reports keep the parent's checksum
 and the worst margin drift, on the measure of ``reports.margins_match``
 (the replay measure); then one line per report whose checksum changed.
-It exits 1 when any drift exceeds the replay tolerance of 1e-12, or when
-a report is missing on either side.
+It exits 1 when any drift exceeds the replay tolerance
+(``reports.REPLAY_TOL``), or when a report is missing on either side.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench_pairs import parse_seeds  # noqa: E402  the one seed parser of scripts/
 
-TOL = 1e-12  # the replay tolerance
 SIDES = ("parent", "change")
 
 
@@ -124,13 +123,15 @@ def main(argv=None) -> int:
         reports[side] = json.loads(stdout)
 
     sys.path.insert(0, str(ROOT / "src"))
+    from jspec.reports import REPLAY_TOL
+
     rows = compare(reports["parent"], reports["change"])
     for name, row in rows.items():
         print(f"{name}: {row['same_checksum']} of {row['reports']} reports keep the parent's checksum; "
               f"worst margin drift {row['worst_drift']:.3e}")
         for label, drift in row["changed"].items():
             print(f"  {label}: drift {drift:.3e}")
-    return 1 if any(row["worst_drift"] > TOL for row in rows.values()) else 0
+    return 1 if any(row["worst_drift"] > REPLAY_TOL for row in rows.values()) else 0
 
 
 if __name__ == "__main__":

@@ -8,27 +8,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from dataclasses import MISSING, fields
 
 from .errors import JspecError
-from .reports import DEFAULT_GRID, CampaignConfig
+from .exponents import ExtExponent
+from .reports import CampaignConfig, type_hints, write_file
 from .suites import SUITE_IDS, cp_table_csv, replay, run_suite
 
 
-def _parse_grid(text: str) -> tuple:
-    values = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise JspecError("empty exponent grid")
-    return tuple(values)  # CampaignConfig coerces and validates each exponent
+def _split_grid(text: str) -> tuple:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--grid",
-        metavar="p1,p2,...",
-        help="comma-separated exponents in [1, inf]; accepts 'inf' and fractions like 4/3 "
-        "(default 1,4/3,2,3,4,inf)",
-    )
+def _add_config_flags(parser: argparse.ArgumentParser, only: tuple | None = None) -> None:
+    """One flag per CampaignConfig field with a default (those in only,
+    when given). The dest is the field name and there is no argparse
+    default, so an absent flag leaves the field's own default in force."""
+    for f in fields(CampaignConfig):
+        if f.default is MISSING or (only and f.name not in only):
+            continue
+        kind, shown = type_hints(CampaignConfig)[f.name], f.default
+        if f.name == "grid":
+            kind, shown = _split_grid, ",".join(str(ExtExponent(p)) for p in f.default)
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind,
+                            help=f"{f.metadata['help']} (default {shown})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,28 +43,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run one suite and optionally write a report")
     runp.add_argument("--suite", required=True, choices=SUITE_IDS)
-    runp.add_argument("--algebra", default="sym:3", help="descriptor like sym:3, spin:4, rn:5, herm:3, sym:2,spin:3")
-    runp.add_argument("--trials", type=int, default=100)
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--restarts", type=int, default=32, help="norm-estimator restarts")
-    _add_grid(runp)
-    runp.add_argument("--max-iters", type=int, default=200, help="estimator ascent iterations")
-    runp.add_argument("--tol", type=float, default=1e-10, help="estimator convergence tolerance")
-    runp.add_argument("--starts", type=int, default=200, help="coordinate-ascent multistarts (cp-table)")
-    runp.add_argument("--n", type=int, default=2, help="vector dimension (cp-table, clarkson aggregation)")
+    _add_config_flags(runp)
     runp.add_argument("--out", metavar="report.json", help="write the report artifact here")
 
     repp = sub.add_parser("replay", help="re-run a report's campaign and verify its margins")
     repp.add_argument("report", metavar="report.json")
 
     cpp = sub.add_parser("cp-table", help="print the c_p recovery table as CSV")
-    cpp.add_argument("--n", type=int, default=2)
-    _add_grid(cpp)
-    cpp.add_argument("--starts", type=int, default=200)
-    cpp.add_argument("--seed", type=int, default=0)
+    _add_config_flags(cpp, only=("seed", "grid", "starts", "n"))
     cpp.add_argument("--out", metavar="report.json", help="also write the JSON report")
     cpp.add_argument("--csv", metavar="table.csv", help="also write the CSV to a file")
     return parser
+
+
+def _config(args, **fixed) -> CampaignConfig:
+    """The config of the given flags, the fixed fields and defaults for the rest."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(CampaignConfig)}
+    return CampaignConfig(**{k: v for k, v in given.items() if v is not None}, **fixed)
 
 
 def _print_report(rep) -> None:
@@ -71,19 +69,7 @@ def _print_report(rep) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = CampaignConfig(
-        suite=args.suite,
-        algebra=args.algebra,
-        trials=args.trials,
-        seed=args.seed,
-        grid=_parse_grid(args.grid) if args.grid else DEFAULT_GRID,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        starts=args.starts,
-        n=args.n,
-    )
-    rep = run_suite(cfg)
+    rep = run_suite(_config(args))
     _print_report(rep)
     if rep.suite == "cp-table":
         sys.stdout.write(cp_table_csv(rep))
@@ -101,18 +87,11 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_cp_table(args) -> int:
-    cfg = CampaignConfig(
-        suite="cp-table",
-        grid=_parse_grid(args.grid) if args.grid else DEFAULT_GRID,
-        seed=args.seed,
-        starts=args.starts,
-        n=args.n,
-    )
-    rep = run_suite(cfg)
+    rep = run_suite(_config(args, suite="cp-table"))
     table = cp_table_csv(rep)
     sys.stdout.write(table)
     if args.csv:
-        Path(args.csv).write_text(table)
+        write_file(args.csv, table)
     if args.out:
         rep.save(args.out)
     return 0 if rep.passed else 1

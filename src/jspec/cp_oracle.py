@@ -24,6 +24,8 @@ import numpy as np
 from .exponents import ExponentLike, ExtExponent, vector_pnorm
 
 _BLOCK_FLOATS = 1 << 16  # floats per row block of a bulk check
+# cp_bruteforce's first step, the step below which a start is spent, and its sweep cap
+_STEP_INIT, _STEP_MIN, _MAX_SWEEPS = 0.5, 1e-9, 2000
 
 
 def _row_blocks(n: int, width: int):
@@ -64,23 +66,16 @@ class CpSearchResult:
     x: np.ndarray
     y: np.ndarray
     sweeps: int
-    starts: int
 
 
-def cp_bruteforce(
-    problem: CpProblem,
-    starts: int = 200,
-    seed: int = 0,
-    step_init: float = 0.5,
-    step_min: float = 1e-9,
-    max_sweeps: int = 2000,
-) -> CpSearchResult:
+def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSearchResult:
     """Multistart coordinate ascent with exact feasibility restoration.
 
     Each proposal bumps one coordinate of (x, y) and rescales the pair
     back onto the constraint sphere (the constraint is positively
     homogeneous, so rescaling is exact). Steps halve when a full sweep
-    over coordinates and signs yields no improvement anywhere.
+    over coordinates and signs yields no improvement anywhere; the search
+    ends once every start's step is below _STEP_MIN, or at _MAX_SWEEPS.
     """
     n, p = problem.n, problem.p
     rng = np.random.default_rng(seed)
@@ -89,9 +84,9 @@ def cp_bruteforce(
     xy /= norms[:, None]
     best = problem.objective(xy[:, :n], xy[:, n:])
 
-    step = np.full(starts, step_init)
+    step = np.full(starts, _STEP_INIT)
     sweeps = 0
-    while np.any(step >= step_min) and sweeps < max_sweeps:
+    while np.any(step >= _STEP_MIN) and sweeps < _MAX_SWEEPS:
         sweeps += 1
         improved = np.zeros(starts, dtype=bool)
         for j in range(2 * n):
@@ -109,13 +104,7 @@ def cp_bruteforce(
         step = np.where(improved, step, step / 2.0)
 
     k = int(np.argmax(best))
-    return CpSearchResult(
-        value=float(best[k]),
-        x=xy[k, :n].copy(),
-        y=xy[k, n:].copy(),
-        sweeps=sweeps,
-        starts=starts,
-    )
+    return CpSearchResult(float(best[k]), xy[k, :n].copy(), xy[k, n:].copy(), sweeps)
 
 
 # -- scalar inequality fuzzing ------------------------------------------

@@ -26,4 +26,5 @@ class DescriptorError(JspecError):
 
 
 class ReportError(JspecError):
-    """A report file failed schema or checksum validation."""
+    """A report file could not be read or written, or failed schema or
+    checksum validation."""

@@ -231,10 +231,22 @@ def peak(c: Element, p: ExponentLike) -> Element:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """restarts and max_iters >= 1 and tol >= 0 (ValueError otherwise);
+    a nan or infinite tol raises NonFiniteInputError."""
+
     restarts: int = 64
     max_iters: int = 200
     tol: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.tol):
+            raise NonFiniteInputError(f"tol must be finite, got {self.tol}")
+        if self.tol < 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +264,6 @@ class NormEstimate:
     witness_a: Element
     witness_b: Element
     iterations: int
-    restarts_used: int
     converged: bool
     stop: str
 
@@ -262,11 +273,10 @@ def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.nda
     vector, frame idempotents, then Gaussians; restart k draws from its
     own generator (cfg.seed, k). Also returns sigma_max(mat), from the
     same SVD."""
-    n_restarts = max(1, cfg.restarts)
-    rows = np.empty((n_restarts, alg.dim))
-    n_sparse = min(n_restarts, 2 + n_restarts // 4)
+    rows = np.empty((cfg.restarts, alg.dim))
+    n_sparse = min(cfg.restarts, 2 + cfg.restarts // 4)
     _, sv, vt = np.linalg.svd(mat)
-    for k in range(n_restarts):
+    for k in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, k))
         if k == 0:
             rows[k] = alg.unit_coords()
@@ -333,10 +343,14 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     return [solved[key] for key in keys]
 
 
+def _rise_tol(tol: float, v: np.ndarray):
+    """tol * max(1, |v|), the largest rise from v that counts as none; 0 at
+    tol = 0, where a -inf v (no value yet) would make 0 * inf."""
+    return tol * np.maximum(1.0, np.abs(v)) if tol else 0.0
+
+
 def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimate]:
     """estimate_many's ascent over distinct, coerced problems."""
-    n_restarts = max(1, cfg.restarts)
-    max_iters = max(1, cfg.max_iters)
     e = alg.unit_coords()
     lam_e = alg.eigenvalues(e)
 
@@ -350,7 +364,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
             live.append(i)
         else:
             wa, wb = Element(alg, unit_at(rex)), Element(alg, unit_at(sex.conjugate))
-            out[i] = NormEstimate(0.0, wa, wb, 0, n_restarts, True, "zero-map")
+            out[i] = NormEstimate(0.0, wa, wb, 0, True, "zero-map")
     if not live:
         return out
 
@@ -364,7 +378,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
     r_units = np.stack([unit_at(p) for p in r_exps])
     sp_units = np.stack([unit_at(p) for p in sp_exps])
     mats = np.stack([probs[i][0].matrix for i in live])
-    a_rows = np.empty((len(live), n_restarts, alg.dim))
+    a_rows = np.empty((len(live), cfg.restarts, alg.dim))
     cert = np.empty(len(live))  # a best value at or above this is certified
     starts: dict = {}  # problems on one map with one seed share their draws
     for j, i in enumerate(live):
@@ -377,13 +391,13 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
         a_rows[j] = rows / vector_pnorm(lam, rex)[:, None]
         upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
         cert[j] = upper - cfg.tol * max(1.0, upper)
-    b_rows = np.repeat(sp_units[sp_k][:, None, :], n_restarts, axis=1)
-    values = np.full((len(live), n_restarts), -np.inf)
+    b_rows = np.repeat(sp_units[sp_k][:, None, :], cfg.restarts, axis=1)
+    values = np.full((len(live), cfg.restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
     best = np.full(len(live), -np.inf)
     flat = np.zeros(len(live), dtype=int)  # full iterations without a rise of best
 
-    for it in range(max_iters):
+    for it in range(cfg.max_iters):
         # a -> b peaks T a in the s' ball; b -> a peaks T* b in the r ball
         for src, mat, dst, units, exps, which in (
             (a_rows, mats.transpose(0, 2, 1), b_rows, sp_units, sp_exps, sp_k),
@@ -400,18 +414,18 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
             old = values[idx]
             up = vals > old
             # the first half-step rises from -inf and is never small
-            small = np.isfinite(old) & ((vals - old) <= cfg.tol * np.maximum(1.0, np.abs(old)))
+            small = np.isfinite(old) & (vals - old <= _rise_tol(cfg.tol, old))
             dst[idx[0][up], idx[1][up]] = cand[up]
             values[idx] = np.where(up, vals, old)
             stall[idx] = np.where(small, stall[idx] + 1, 0)
         new_best = values.max(axis=1)
-        risen = new_best - best > cfg.tol * np.maximum(1.0, np.abs(best))
+        risen = new_best - best > _rise_tol(cfg.tol, best)
         flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)
         best = new_best
         stalled = np.all(stall >= 2, axis=1)
         certified = best >= cert
         patient = flat >= _PATIENCE
-        finished = stalled | certified | patient | (it + 1 == max_iters)
+        finished = stalled | certified | patient | (it + 1 == cfg.max_iters)
         for j in np.flatnonzero(finished):
             k = int(np.argmax(values[j]))
             out[ids[j]] = NormEstimate(
@@ -419,7 +433,6 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
                 witness_a=Element(alg, a_rows[j, k]),
                 witness_b=Element(alg, b_rows[j, k]),
                 iterations=it + 1,
-                restarts_used=n_restarts,
                 converged=bool(stall[j, k] >= 2),
                 stop=("stalled" if stalled[j] else "certified" if certified[j]
                       else "patience" if patient[j] else "max_iters"),

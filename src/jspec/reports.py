@@ -8,6 +8,7 @@ silently ignored.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -19,41 +20,41 @@ from .errors import ReportError
 from .exponents import ExtExponent
 
 SCHEMA_VERSION = "2"
+REPLAY_TOL = 1e-12  # a replayed margin may differ by this much, relative to max(1, |margin|)
 
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
+
+type_hints = functools.cache(get_type_hints)  # a dataclass's field types, evaluated once
 
 
 def exponent_to_json(value: float):
     return "inf" if math.isinf(value) else value
 
 
+def _setting(default, help: str):
+    """A CampaignConfig field with its default and the help of its CLI flag."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything needed to reproduce one suite run."""
+    """Everything needed to reproduce one suite run. The CLI has one flag
+    per field with a default, so each default is defined here alone."""
 
     suite: str
-    algebra: str = "sym:3"
-    trials: int = 100
-    seed: int = 0
-    grid: tuple = DEFAULT_GRID
-    restarts: int = 32  # estimator restarts
-    max_iters: int = 200
-    tol: float = 1e-10
-    starts: int = 200  # coordinate-ascent multistarts (cp-table)
-    n: int = 2  # vector dimension (cp-table, clarkson aggregation)
+    algebra: str = _setting("sym:3", "descriptor like sym:3, spin:4, rn:5, herm:3, sym:2,spin:3")
+    trials: int = _setting(100, "trials per campaign")
+    seed: int = _setting(0, "base seed of every draw")
+    grid: tuple | list = _setting(
+        DEFAULT_GRID, "comma-separated exponents in [1, inf]; accepts 'inf' and fractions like 4/3")
+    restarts: int = _setting(32, "norm-estimator restarts")
+    max_iters: int = _setting(200, "estimator ascent iterations")
+    tol: float = _setting(1e-10, "estimator convergence tolerance")
+    starts: int = _setting(200, "coordinate-ascent multistarts (cp-table)")
+    n: int = _setting(2, "vector dimension (cp-table, clarkson aggregation)")
 
     def __post_init__(self):
-        for name in ("suite", "algebra"):
-            if not isinstance(getattr(self, name), str):
-                raise ReportError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("trials", "seed", "restarts", "max_iters", "starts", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ReportError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
-            raise ReportError(f"tol must be a real number, got {self.tol!r}")
-        if not isinstance(self.grid, (list, tuple)):
-            raise ReportError(f"grid must be a list of exponents, got {self.grid!r}")
+        _check_types(type(self), vars(self), "config")
         from .suites import SUITE_IDS  # the suite registry; suites.py imports this module
 
         if self.suite not in SUITE_IDS:
@@ -103,11 +104,12 @@ def _check_types(cls, d: dict, what: str) -> None:
     """Reject a JSON object whose values do not have cls's field types
     (a float field also takes an int, and no field takes a bool it does
     not declare)."""
-    for name, typ in get_type_hints(cls).items():
+    for name, typ in type_hints(cls).items():
         value = d[name]
         want = (int, float) if typ is float else typ
         if not isinstance(value, want) or (isinstance(value, bool) and typ is not bool):
-            raise ReportError(f"{what} field {name!r} must be of type {typ.__name__}, got {value!r}")
+            shown = getattr(typ, "__name__", typ)  # a union such as tuple | list has no name
+            raise ReportError(f"{what} field {name!r} must be of type {shown}, got {value!r}")
 
 
 def _canonical(payload: dict) -> bytes:
@@ -155,7 +157,7 @@ class SuiteReport:
         return d
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n")
+        write_file(path, json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     @classmethod
     def from_json(cls, d: dict) -> "SuiteReport":
@@ -172,9 +174,21 @@ class SuiteReport:
         return rep
 
 
+def write_file(path, text: str) -> None:
+    """Write an output file; an unwritable path is a data error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ReportError(f"cannot write output file: {exc}") from None
+
+
+def _reject_constant(name: str):
+    raise ReportError(f"not a report file: non-finite number {name}")
+
+
 def load_report(path) -> SuiteReport:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ReportError(f"cannot read report file: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -184,9 +198,9 @@ def load_report(path) -> SuiteReport:
     return SuiteReport.from_json(raw)
 
 
-def margins_match(a: dict, b: dict, tol: float = 1e-12) -> tuple[bool, float]:
-    """Compare two margin dicts key by key. Returns (match, worst
-    absolute difference relative to max(1, magnitude))."""
+def margins_match(a: dict, b: dict) -> tuple[bool, float]:
+    """Compare two margin dicts key by key. Returns (match within
+    REPLAY_TOL, worst absolute difference relative to max(1, magnitude))."""
     if set(a) != set(b):
         return False, math.inf
     worst = 0.0
@@ -197,4 +211,4 @@ def margins_match(a: dict, b: dict, tol: float = 1e-12) -> tuple[bool, float]:
             worst = max(worst, abs(va - vb) / scale)
         elif va != vb:
             return False, math.inf
-    return worst <= tol, worst
+    return worst <= REPLAY_TOL, worst

@@ -54,7 +54,7 @@ from .linmaps import (
     random_doubly_stochastic,
     random_map,
 )
-from .reports import CampaignConfig, SuiteReport, exponent_to_json, load_report, margins_match
+from .reports import REPLAY_TOL, CampaignConfig, SuiteReport, exponent_to_json, load_report, margins_match
 
 INEQ_SLACK = 1e-9  # criterion slack for exact inequalities
 EST_RTOL = 1e-5  # estimator-vs-identity relative tolerance
@@ -71,17 +71,17 @@ def _rng(base: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(base, *path))
 
 
-def _est_cfg(cfg: CampaignConfig, trial: int, salt: int = 0) -> EstimatorConfig:
+def _est_cfg(cfg: CampaignConfig, trial: int) -> EstimatorConfig:
     return EstimatorConfig(
         restarts=cfg.restarts,
         max_iters=cfg.max_iters,
         tol=cfg.tol,
-        seed=derive_seed(cfg.seed, 7, trial, salt),
+        seed=derive_seed(cfg.seed, 7, trial, 0),
     )
 
 
-def _worst(items: list, key: str, n: int = 3) -> list:
-    return sorted(items, key=lambda w: -w[key])[:n]
+def _worst(items: list, key: str) -> list:
+    return sorted(items, key=lambda w: -w[key])[:3]
 
 
 # -- inequality suites ---------------------------------------------------
@@ -172,12 +172,12 @@ def _suite_gen_holder(cfg: CampaignConfig):
     pairs = []
     for p in cfg.exponents:
         for r in cfg.exponents:
-            if p.inv + r.inv > 1.0 + 1e-12:
+            try:
+                s = ExtExponent.from_inverse(p.inv + r.inv)
+            except ValueError:  # 1/p + 1/r > 1: no exponent s
                 continue
-            s = ExtExponent.from_inverse(p.inv + r.inv)
-            if s == r:
-                continue
-            pairs.append((p, r, s))
+            if s != r:
+                pairs.append((p, r, s))
     if not pairs:
         raise ReportError("grid admits no exponent pair with 1/p + 1/r <= 1 and s != r")
     max_violation = -math.inf
@@ -505,7 +505,7 @@ def _suite_clarkson(cfg: CampaignConfig):
         {"p": res.p, "kind": res.name, "max_violation": res.max_violation, "worst": res.worst}
         for res in results
     ]
-    return max(res.max_violation for res in results) <= 1e-12, margins, rows
+    return all(res.holds for res in results), margins, rows
 
 
 _SUITES = {
@@ -542,13 +542,13 @@ def run_suite(cfg: CampaignConfig) -> SuiteReport:
 
 def replay(path) -> SuiteReport:
     """Re-run the campaign recorded in a report and confirm the margins
-    reproduce (to 1e-12; bit-for-bit in the same environment)."""
+    reproduce (to REPLAY_TOL; bit-for-bit in the same environment)."""
     original = load_report(path)
     cfg = CampaignConfig.from_json(original.config)
     fresh = run_suite(cfg)
     ok, worst = margins_match(original.margins, fresh.margins)
     if not ok:
-        raise ReportError(f"replay mismatch: margins differ by {worst:.3e} (tolerance 1e-12)")
+        raise ReportError(f"replay mismatch: margins differ by {worst:.3e} (tolerance {REPLAY_TOL:g})")
     if original.passed != fresh.passed:
         raise ReportError("replay mismatch: pass/fail flipped")
     return fresh

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
+import re
+from dataclasses import fields
 
 import pytest
 
-from jspec import load_report, reports
+from jspec import CampaignConfig, cli, load_report, reports, suites
 from jspec.cli import main
 
 
@@ -84,6 +87,43 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_defaults_come_from_campaign_config(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--suite", "ftvn", "--out", str(out)) == 0
+        assert load_report(out).config == CampaignConfig(suite="ftvn").to_json()
+
+    def test_help_shows_each_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--help")
+        assert exc.value.code == 0
+        # undo argparse's line wrapping, and keep the option list
+        text = " ".join(capsys.readouterr().out.split()).split("options:")[1]
+        argv = ["run", "--suite", "ftvn"]
+        for f in fields(CampaignConfig):
+            if f.name != "suite":
+                flag = f"--{f.name.replace('_', '-')}"
+                shown = re.search(rf"{flag} \S+ .*?\(default ([^)]*)\)", text)
+                assert shown, f.name
+                argv += [flag, shown.group(1)]
+        # each shown default, passed back as a flag, gives the default config
+        assert cli._config(cli.build_parser().parse_args(argv)) == CampaignConfig(suite="ftvn")
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert run_cli("run", "--suite", "ftvn", "--trials", "5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and str(out) in err
+
+    def test_gen_holder_skips_pairs_past_the_exponent_rule(self, tmp_path):
+        # every pair with r or p = 1.9999999999996 has 1/p + 1/r > 1 by at
+        # least 5e-14, so no exponent s exists; they are skipped and (2, 2)
+        # is checked alone
+        out = tmp_path / "report.json"
+        code = run_cli("run", "--suite", "gen-holder", "--trials", "4",
+                       "--grid", "2,1.9999999999996", "--out", str(out))
+        assert code == 0
+        assert load_report(out).witnesses[0]["s"] == 1.0
+
     def test_grid_without_brackets_writes_report(self, tmp_path):
         # every (r, s) pair on this grid has a closed form, so no bracket
         # margin is ever set; the report must still be valid JSON
@@ -141,7 +181,7 @@ class TestReplay:
         data["config"]["trials"] = "3"
         self._reseal(out, data)
         assert run_cli("replay", str(out)) == 2
-        assert "trials must be an integer" in capsys.readouterr().err
+        assert "config field 'trials' must be of type int" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
         ("margins", 5), ("config", 5), ("witnesses", 5), ("passed", 1),
@@ -178,6 +218,20 @@ class TestReplay:
         assert "schema mismatch" in err
         assert "older estimator" in err and "re-run" in err
 
+    @pytest.mark.parametrize("edit", ["witness", "wall_time"])
+    def test_replay_non_finite_number_exit_two(self, tmp_path, capsys, edit):
+        # JSON has no NaN or Infinity, so a file holding one is no report
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        if edit == "witness":
+            data["witnesses"][0]["ratio"] = math.nan
+        else:
+            data["wall_time"] = math.inf
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 2
+        assert "non-finite number" in capsys.readouterr().err
+
     def test_replay_missing_file_exit_two(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "absent.json")) == 2
 
@@ -196,6 +250,20 @@ class TestCpTable:
         assert csv_path.read_text() == stdout
         rep = load_report(out)
         assert rep.suite == "cp-table" and rep.passed
+
+    def test_defaults_come_from_campaign_config(self, tmp_path, monkeypatch):
+        # a stand-in suite keeps the run short; the config is what is checked
+        monkeypatch.setitem(suites._SUITES, "cp-table", lambda cfg: (True, {"max_delta": 0.0}, []))
+        out = tmp_path / "cp.json"
+        assert run_cli("cp-table", "--out", str(out)) == 0
+        assert load_report(out).config == CampaignConfig(suite="cp-table").to_json()
+
+    def test_unwritable_csv_exit_two(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "cp.csv"
+        code = run_cli("cp-table", "--grid", "2", "--starts", "4", "--csv", str(csv_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and str(csv_path) in err
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as exc:

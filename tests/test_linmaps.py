@@ -2,6 +2,7 @@
 and the closed-form norm table."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from jspec import (
     EstimatorConfig,
     ExtExponent,
     LinearMap,
+    NonFiniteInputError,
     UnsupportedCaseError,
     closed_form_norm,
     congruence,
@@ -308,6 +310,34 @@ class TestEstimator:
             assert est.converged
 
 
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("field,value,error", [
+        ("restarts", 0, ValueError),
+        ("restarts", -3, ValueError),
+        ("max_iters", 0, ValueError),
+        ("tol", -1e-9, ValueError),
+        ("tol", math.nan, NonFiniteInputError),
+        ("tol", math.inf, NonFiniteInputError),
+    ])
+    def test_rejects_bad_limits(self, field, value, error):
+        with pytest.raises(error, match=field):
+            EstimatorConfig(**{field: value})
+
+    def test_smallest_limits_run(self):
+        alg = parse_algebra("sym:2")
+        est = op_norm_estimate(random_map(alg, 5), 2, 3, EstimatorConfig(restarts=1, max_iters=1, tol=0.0))
+        assert est.iterations == 1 and est.lower_bound > 0.0
+
+    def test_zero_tol_runs_without_warnings(self, algebra):
+        # a -inf starting value must never meet a zero tolerance in 0 * inf
+        cfg = replace(FAST, restarts=4, max_iters=30, tol=0.0)
+        t = random_map(algebra, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = estimate_many([(t, r, s, cfg) for r in (1, 2, "inf") for s in (1, 3)])
+        assert all(est.lower_bound > 0.0 for est in ests)
+
+
 class TestEstimateMany:
     def test_batch_matches_solo(self, algebra):
         # p = 1, finite p, p = 2 and p = inf on both half-steps, a zero map, two
@@ -334,7 +364,6 @@ class TestEstimateMany:
             assert got.iterations == want.iterations
             assert got.converged == want.converged
             assert got.stop == want.stop
-            assert got.restarts_used == want.restarts_used
             assert got.lower_bound == pytest.approx(want.lower_bound, rel=1e-12, abs=1e-12)
             for w_got, w_want in ((got.witness_a, want.witness_a), (got.witness_b, want.witness_b)):
                 assert np.allclose(w_got.coords, w_want.coords, rtol=0.0, atol=1e-12)

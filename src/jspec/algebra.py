@@ -229,7 +229,9 @@ class SymMatrix(_MatrixFactor):
         return x
 
     def from_dense(self, x: np.ndarray) -> np.ndarray:
-        return x[..., self._iu[0], self._iu[1]] * self._scale
+        out = x[..., self._iu[0], self._iu[1]]  # a new array: scaled in place
+        out *= self._scale
+        return out
 
 
 class HermMatrix(_MatrixFactor):

@@ -12,7 +12,7 @@ from dataclasses import MISSING, fields
 
 from .errors import JspecError
 from .exponents import ExtExponent
-from .reports import CampaignConfig, type_hints, write_file
+from .reports import CampaignConfig, check_writable, type_hints, write_file
 from .suites import SUITE_IDS, cp_table_csv, replay, run_suite
 
 
@@ -69,6 +69,8 @@ def _print_report(rep) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.out:  # checked before the campaign, so a bad path costs no run
+        check_writable(args.out)
     rep = run_suite(_config(args))
     _print_report(rep)
     if rep.suite == "cp-table":
@@ -87,6 +89,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_cp_table(args) -> int:
+    for path in (args.csv, args.out):
+        if path:
+            check_writable(path)
     rep = run_suite(_config(args, suite="cp-table"))
     table = cp_table_csv(rep)
     sys.stdout.write(table)

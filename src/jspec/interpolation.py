@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,6 +175,24 @@ def _estimates(t: LinearMap, pairs: tuple, cfg: EstimatorConfig) -> list[float]:
     return [est.lower_bound for est in estimate_many([(t, r, s, cfg) for r, s in pairs])]
 
 
+class BoundCase(NamedTuple):
+    """The bound one check tests: ||T||_{lhs} <= constant M0^(1-theta)
+    M1^theta with Mj = ||T||_{endj}, each norm given by its (r, s)."""
+
+    theorem: str
+    lhs: tuple[ExtExponent, ExtExponent]
+    end0: tuple[ExtExponent, ExtExponent]
+    end1: tuple[ExtExponent, ExtExponent]
+    theta: float
+    constant: float
+
+    @property
+    def norms(self) -> tuple:
+        """The (r, s) of the three norms the check estimates, in the order
+        of its first= bounds: lhs, end0, end1."""
+        return self.lhs, self.end0, self.end1
+
+
 def _interp_report(
     t: LinearMap,
     theorem: str,
@@ -191,8 +209,10 @@ def _interp_report(
     cancel exactly; near-violations trigger one re-estimation pass at
     4x restarts with a shifted seed, keeping the max (still a valid
     lower bound for each norm). first holds the first pass's lower
-    bounds for (lhs, end0, end1) when the caller already has them from
-    one estimate_many call with cfg."""
+    bounds for (lhs, end0, end1), estimated with cfg, when the caller
+    already has them: the campaign suites estimate many trials' first
+    passes in one estimate_many call. The re-estimation pass is always
+    made here, one call per check."""
     lhs, m0, m1 = _estimates(t, (lhs_rs, end0, end1), cfg) if first is None else first
     seeds = {"estimator": cfg.seed, "rerun": None}
 
@@ -228,56 +248,29 @@ def _interp_report(
     )
 
 
-def check_theorem1(
-    t: LinearMap,
-    p0: ExponentLike,
-    p1: ExponentLike,
-    theta: float,
-    cfg: EstimatorConfig | None = None,
-    first: Sequence[float] | None = None,
-) -> BoundReport:
-    """Diagonal interpolation with constant 1. first optionally holds the
-    lower bounds of ||T||_{p->p} at p = p_theta, p0, p1 that
-    estimate_many already returned for cfg, so the first pass is not
-    estimated again."""
-    cfg = cfg or EstimatorConfig()
+def theorem1_case(p0: ExponentLike, p1: ExponentLike, theta: float) -> BoundCase:
+    """Diagonal interpolation with constant 1: ||T||_{p->p} at p = p_theta,
+    against the endpoints p0 and p1."""
     a, b = ExtExponent.coerce(p0), ExtExponent.coerce(p1)
     pt = interpolate(a, b, theta)
-    return _interp_report(t, "theorem1", (pt, pt), (a, a), (b, b), theta, 1.0, cfg, first)
+    return BoundCase("theorem1", (pt, pt), (a, a), (b, b), theta, 1.0)
 
 
-def check_theorem2(
-    t: LinearMap,
-    pair: ExponentPair,
-    theta: float,
-    cfg: EstimatorConfig | None = None,
-    theta_constant: bool = False,
-) -> BoundReport:
+def theorem2_case(pair: ExponentPair, theta: float, theta_constant: bool = False) -> BoundCase:
     """Full two-exponent interpolation with constant C (or its
     theta-dependent sharpening)."""
-    cfg = cfg or EstimatorConfig()
-    rt, st = pair.at(theta)
     if theta_constant:
         name, c = "theorem2-theta", theorem2_constant_theta(pair, theta)
     else:
         name, c = "theorem2", theorem2_constant(pair)
-    return _interp_report(
-        t, name, (rt, st), (pair.r0, pair.s0), (pair.r1, pair.s1), theta, c, cfg
-    )
+    return BoundCase(name, pair.at(theta), (pair.r0, pair.s0), (pair.r1, pair.s1), theta, c)
 
 
-def check_corollary4(
-    t: LinearMap,
-    r: ExponentLike,
-    s: ExponentLike,
-    cfg: EstimatorConfig | None = None,
-    improved: bool = False,
-) -> BoundReport:
+def corollary4_case(r: ExponentLike, s: ExponentLike, improved: bool = False) -> BoundCase:
     """Off-diagonal corner specialization: for r < s interpolate between
     (inf, inf) and (1, s/r) at theta = 1/r; for r > s between (inf, inf)
     and (r/s, 1) at theta = 1/s. Constant 2 sqrt(2), or its
     theta-sharpened power when improved=True."""
-    cfg = cfg or EstimatorConfig()
     rex, sex = ExtExponent.coerce(r), ExtExponent.coerce(s)
     if rex == sex:
         raise UnsupportedCaseError("corner interpolation needs r != s")
@@ -290,7 +283,47 @@ def check_corollary4(
         end1 = (ExtExponent(rex.value / sex.value), ExtExponent(1.0))
     constant = _SQRT8 ** max(1.0 - theta, theta) if improved else _SQRT8
     name = "corollary4-improved" if improved else "corollary4"
-    return _interp_report(t, name, (rex, sex), (inf, inf), end1, theta, constant, cfg)
+    return BoundCase(name, (rex, sex), (inf, inf), end1, theta, constant)
+
+
+def check_theorem1(
+    t: LinearMap,
+    p0: ExponentLike,
+    p1: ExponentLike,
+    theta: float,
+    cfg: EstimatorConfig | None = None,
+    first: Sequence[float] | None = None,
+) -> BoundReport:
+    """Check theorem1_case(p0, p1, theta) on t. first optionally holds the
+    lower bounds of its norms (BoundCase.norms) that estimate_many
+    already returned for cfg, so the first pass is not estimated again."""
+    return _interp_report(t, *theorem1_case(p0, p1, theta), cfg or EstimatorConfig(), first)
+
+
+def check_theorem2(
+    t: LinearMap,
+    pair: ExponentPair,
+    theta: float,
+    cfg: EstimatorConfig | None = None,
+    theta_constant: bool = False,
+    first: Sequence[float] | None = None,
+) -> BoundReport:
+    """Check theorem2_case(pair, theta, theta_constant) on t; first as in
+    check_theorem1."""
+    return _interp_report(t, *theorem2_case(pair, theta, theta_constant), cfg or EstimatorConfig(), first)
+
+
+def check_corollary4(
+    t: LinearMap,
+    r: ExponentLike,
+    s: ExponentLike,
+    cfg: EstimatorConfig | None = None,
+    improved: bool = False,
+    first: Sequence[float] | None = None,
+) -> BoundReport:
+    """Check corollary4_case(r, s, improved) on t; first as in
+    check_theorem1."""
+    return _interp_report(t, *corollary4_case(r, s, improved), cfg or EstimatorConfig(), first)
 
 
 # -- three lines walk-through -------------------------------------------

@@ -33,6 +33,8 @@ _ZERO_EIG = 1e-14
 # full iterations without a rise of a problem's best value before it
 # leaves the stack
 _PATIENCE = 5
+# rows x dim floats that _peak_stack decomposes in one block
+_PEAK_FLOATS = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +194,11 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
     for the trace form, so ||c||_2 is the Euclidean norm of c's
     coordinates and the p = 2 peak is c / ||c||_2; those rows need no
     decomposition, and a row with ||c||_2 <= _ZERO_EIG is zero. All other
-    rows share one decomposition and one rebuild, and the spectral map
-    runs once per distinct exponent. estimate_many's one ascent step calls
-    it once per half-step, after that half-step's one matmul.
+    rows are decomposed and rebuilt in blocks of at most _PEAK_FLOATS
+    floats, which bounds the decomposition's temporaries (each row's
+    result does not depend on its block), and the spectral map runs once
+    per distinct exponent in each block. estimate_many's one ascent step
+    calls it once per half-step, after that half-step's one matmul.
     """
     d, ok = np.empty_like(x), np.empty(len(x), dtype=bool)
     two = np.array([p.value == 2.0 for p in exps])[which]
@@ -202,17 +206,20 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
         nrm = np.linalg.norm(x[two], axis=-1)
         ok[two] = nrm > _ZERO_EIG
         d[two] = x[two] / np.where(ok[two], nrm, np.inf)[:, None]
-    rest = ~two
-    if rest.any():
-        w = which[rest]
-        decs = alg.decomp(x[rest])
+    rest = np.flatnonzero(~two)
+    step = max(1, _PEAK_FLOATS // alg.dim)
+    for lo in range(0, len(rest), step):
+        sel = rest[lo:lo + step]
+        w = which[sel]
+        decs = alg.decomp(x[sel])
         lam = alg.eigenvalues_from(decs)
-        lam_new, ok_rest = np.empty_like(lam), np.empty(len(w), dtype=bool)
+        lam_new, ok_sel = np.empty_like(lam), np.empty(len(sel), dtype=bool)
         for k, p in enumerate(exps):
-            sel = w == k
-            if sel.any():
-                lam_new[sel], ok_rest[sel] = _peak_spectrum(lam[sel], p)
-        d[rest], ok[rest] = alg.rebuild(decs, lam_new), ok_rest
+            at = w == k
+            if at.any():
+                lam_new[at], ok_sel[at] = _peak_spectrum(lam[at], p)
+        d[sel], ok[sel] = alg.rebuild(decs, lam_new), ok_sel
+        del decs, lam, lam_new  # not held through the next block
     return d, ok
 
 
@@ -297,17 +304,18 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     and seed (cfg None means EstimatorConfig()). All maps live on one
     algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
     problems (ValueError otherwise). Problems with the same map bytes,
-    exponents and cfg are solved once and share one estimate. The
-    restarts of all distinct problems form one (problems, restarts, dim)
-    stack. Since ||T*||_{s'->r'} = ||T||_{r->s}, both half-steps are one
-    step: a -> b peaks T a in the s' ball, b -> a peaks T* b in the r
-    ball, and each reads its objective off the rows it mapped. A
-    half-step costs one matmul over the whole stack, then one
-    decomposition and one rebuild that cover only the restarts that have
-    not stalled and whose exponent is not 2 (the p = 2 peak is
-    c / ||c||_2). A restart stalls after two half-steps in a row that
-    raise its objective by at most tol * max(1, |objective|); the first
-    half-step, which rises from -inf, never counts. With n = alg.rank,
+    exponents and cfg are solved once and share one estimate; the call
+    keeps one matrix per distinct map. The restarts of all distinct
+    problems form one (problems, restarts, dim) stack. Since
+    ||T*||_{s'->r'} = ||T||_{r->s}, both half-steps are one step: a -> b
+    peaks T a in the s' ball, b -> a peaks T* b in the r ball, and each
+    reads its objective off the rows it mapped. A half-step costs one
+    matmul over the whole stack, then decompositions and rebuilds (in
+    _peak_stack's row blocks) that cover only the restarts that have not
+    stalled and whose exponent is not 2 (the p = 2 peak is c / ||c||_2).
+    A restart stalls after two half-steps in a row that raise its
+    objective by at most tol * max(1, |objective|); the first half-step,
+    which rises from -inf, never counts. With n = alg.rank,
     ||a||_2 <= n^max(0, 1/2 - 1/r) ||a||_r and ||b||_s <=
     n^max(0, 1/s - 1/2) ||b||_2, so ||T||_{r->s} <= upper = sigma_max(T)
     n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), which is tight for r <= 2
@@ -335,11 +343,21 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
             raise AlgebraMismatchError("estimate_many needs every map on one algebra")
         if (c.restarts, c.max_iters, c.tol) != (cfg.restarts, cfg.max_iters, cfg.tol):
             raise ValueError("estimate_many needs one restarts, max_iters and tol for every problem")
-    keys = [(t.matrix.tobytes(), r, s, c) for t, r, s, c in probs]
-    distinct: dict = {}
-    for key, prob in zip(keys, probs):
-        distinct.setdefault(key, prob)
-    solved = dict(zip(distinct, _ascent(alg, cfg, list(distinct.values()))))
+    # a problem's key names its map by index: one byte copy per map object
+    # finds the maps with equal bytes, and is dropped before the ascent
+    maps: list = []
+    index: dict = {}  # id(t) -> map index
+    by_bytes: dict = {}
+    keys = []
+    for t, r, s, c in probs:
+        if id(t) not in index:
+            index[id(t)] = by_bytes.setdefault(t.matrix.tobytes(), len(by_bytes))
+            if index[id(t)] == len(maps):
+                maps.append(t.matrix)
+        keys.append((index[id(t)], r, s, c))
+    del by_bytes
+    distinct = list(dict.fromkeys(keys))
+    solved = dict(zip(distinct, _ascent(alg, cfg, np.stack(maps), distinct)))
     return [solved[key] for key in keys]
 
 
@@ -349,8 +367,9 @@ def _rise_tol(tol: float, v: np.ndarray):
     return tol * np.maximum(1.0, np.abs(v)) if tol else 0.0
 
 
-def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimate]:
-    """estimate_many's ascent over distinct, coerced problems."""
+def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -> list[NormEstimate]:
+    """estimate_many's ascent over distinct, coerced problems (m, r, s,
+    cfg), each on the map matrix maps[m]."""
     e = alg.unit_coords()
     lam_e = alg.eigenvalues(e)
 
@@ -359,8 +378,8 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
 
     out: list = [None] * len(probs)
     live = []
-    for i, (t, rex, sex, _) in enumerate(probs):
-        if np.any(t.matrix):
+    for i, (m, rex, sex, _) in enumerate(probs):
+        if np.any(maps[m]):
             live.append(i)
         else:
             wa, wb = Element(alg, unit_at(rex)), Element(alg, unit_at(sex.conjugate))
@@ -377,20 +396,20 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
     sp_k = np.array([sp_exps.index(probs[i][2].conjugate) for i in live])
     r_units = np.stack([unit_at(p) for p in r_exps])
     sp_units = np.stack([unit_at(p) for p in sp_exps])
-    mats = np.stack([probs[i][0].matrix for i in live])
+    mk = np.array([probs[i][0] for i in live])  # each problem's map
     a_rows = np.empty((len(live), cfg.restarts, alg.dim))
     cert = np.empty(len(live))  # a best value at or above this is certified
     starts: dict = {}  # problems on one map with one seed share their draws
     for j, i in enumerate(live):
-        _, rex, sex, c = probs[i]
-        key = (c.seed, mats[j].tobytes())
-        if key not in starts:
-            rows, sigma = _starts(alg, mats[j], c)
-            starts[key] = rows, alg.eigenvalues(rows), sigma
-        rows, lam, sigma = starts[key]
+        m, rex, sex, c = probs[i]
+        if (c.seed, m) not in starts:
+            rows, sigma = _starts(alg, maps[m], c)
+            starts[c.seed, m] = rows, alg.eigenvalues(rows), sigma
+        rows, lam, sigma = starts[c.seed, m]
         a_rows[j] = rows / vector_pnorm(lam, rex)[:, None]
         upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
         cert[j] = upper - cfg.tol * max(1.0, upper)
+    del starts, rows, lam
     b_rows = np.repeat(sp_units[sp_k][:, None, :], cfg.restarts, axis=1)
     values = np.full((len(live), cfg.restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
@@ -399,17 +418,20 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
 
     for it in range(cfg.max_iters):
         # a -> b peaks T a in the s' ball; b -> a peaks T* b in the r ball
-        for src, mat, dst, units, exps, which in (
-            (a_rows, mats.transpose(0, 2, 1), b_rows, sp_units, sp_exps, sp_k),
-            (b_rows, mats, a_rows, r_units, r_exps, r_k),
+        for src, adj, dst, units, exps, which in (
+            (a_rows, True, b_rows, sp_units, sp_exps, sp_k),
+            (b_rows, False, a_rows, r_units, r_exps, r_k),
         ):
             # only restarts that have not stalled take the step; a zero
-            # peak falls back to the unit
+            # peak falls back to the unit. The per-problem matrices are
+            # gathered for the matmul alone, so the stack holds one per map
             idx = np.nonzero(stall < 2)
-            tx = np.matmul(src, mat)[idx]
+            mats = maps[mk]
+            tx = np.matmul(src, mats.transpose(0, 2, 1) if adj else mats)[idx]
+            del mats
             w = which[idx[0]]
-            peaks, ok = _peak_stack(alg, tx, exps, w)
-            cand = np.where(ok[:, None], peaks, units[w])
+            cand, ok = _peak_stack(alg, tx, exps, w)
+            cand[~ok] = units[w[~ok]]
             vals = np.einsum("ij,ij->i", tx, cand)
             old = values[idx]
             up = vals > old
@@ -418,6 +440,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
             dst[idx[0][up], idx[1][up]] = cand[up]
             values[idx] = np.where(up, vals, old)
             stall[idx] = np.where(small, stall[idx] + 1, 0)
+            del tx, cand, vals, old  # not held through the next half-step
         new_best = values.max(axis=1)
         risen = new_best - best > _rise_tol(cfg.tol, best)
         flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)
@@ -440,7 +463,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, probs: list) -> list[NormEstimat
         if finished.all():
             break
         keep = ~finished
-        ids, mats, a_rows, b_rows = ids[keep], mats[keep], a_rows[keep], b_rows[keep]
+        ids, mk, a_rows, b_rows = ids[keep], mk[keep], a_rows[keep], b_rows[keep]
         values, stall, best, flat = values[keep], stall[keep], best[keep], flat[keep]
         r_k, sp_k, cert = r_k[keep], sp_k[keep], cert[keep]
     return out

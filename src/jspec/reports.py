@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -180,6 +181,22 @@ def write_file(path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise ReportError(f"cannot write output file: {exc}") from None
+
+
+def check_writable(path) -> None:
+    """Raise write_file's error now, creating nothing, if path is a
+    directory or its parent is not a writable directory."""
+    p = Path(path)
+    parent = p.parent
+    if p.is_dir():
+        reason = "is a directory"
+    elif not parent.is_dir():
+        reason = f"no directory {str(parent)!r}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"directory {str(parent)!r} is not writable"
+    else:
+        return
+    raise ReportError(f"cannot write output file: {str(path)!r}: {reason}")
 
 
 def _reject_constant(name: str):

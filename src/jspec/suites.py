@@ -2,9 +2,12 @@
 runs, assembled into integrity-checked reports.
 
 Every suite derives per-trial randomness from (config seed, trial
-index) and runs its trials in order. Estimator suites hand all norm
-problems of a trial to one estimate_many call; each problem keeps its
-own seed, so batching does not change results.
+index) and judges its trials in order. The estimator suites plan
+consecutive trials, hand all their norm problems to one estimate_many
+call while it fits _EST_FLOATS floats, then judge each of those trials
+(_estimated); a check that reruns its estimates does so alone. Each
+problem keeps its trial's seed and estimate_many's results do not
+depend on the batch, so neither do the reports.
 
 The bulk suites (ftvn, holder, gen-holder) draw their rows from one
 generator per suite or per exponent group, and draw and check them in
@@ -33,12 +36,15 @@ from .cp_oracle import (
 )
 from .elements import p_norm, random_element, unit
 from .errors import DegenerateInputError, ReportError
-from .exponents import ExtExponent, cp_constant, interpolate, vector_pnorm
+from .exponents import ExtExponent, cp_constant, vector_pnorm
 from .interpolation import (
     ExponentPair,
     check_corollary4,
     check_theorem1,
     check_theorem2,
+    corollary4_case,
+    theorem1_case,
+    theorem2_case,
     three_lines_demo,
 )
 from .linmaps import (
@@ -59,6 +65,9 @@ from .reports import REPLAY_TOL, CampaignConfig, SuiteReport, exponent_to_json, 
 INEQ_SLACK = 1e-9  # criterion slack for exact inequalities
 EST_RTOL = 1e-5  # estimator-vs-identity relative tolerance
 LINE_SLACK = 1e-6  # sampled three-lines bounds
+# floats of problems x restarts x dim in one estimate_many call of an
+# estimator suite
+_EST_FLOATS = 2**15
 
 
 def derive_seed(base: int, *path: int) -> int:
@@ -82,6 +91,39 @@ def _est_cfg(cfg: CampaignConfig, trial: int) -> EstimatorConfig:
 
 def _worst(items: list, key: str) -> list:
     return sorted(items, key=lambda w: -w[key])[:3]
+
+
+def _estimated(cfg: CampaignConfig, alg: Algebra, plan):
+    """Each trial's context and the lower bounds of its norms, in trial
+    order.
+
+    plan(trial, ecfg) returns (ctx, t, norms): the trial's context, its
+    map and the (r, s) of each norm to estimate with ecfg = _est_cfg(cfg,
+    trial). Consecutive trials share one estimate_many call while it
+    holds at most _EST_FLOATS floats of problems x restarts x dim; a
+    trial past that alone gets a call of its own. A chunk's trials are
+    planned, estimated and yielded before the next chunk is planned, so
+    memory does not grow with cfg.trials.
+    """
+    per_problem = cfg.restarts * alg.dim
+    chunk, problems = [], []
+    for trial in range(cfg.trials):
+        ecfg = _est_cfg(cfg, trial)
+        ctx, t, norms = plan(trial, ecfg)
+        if chunk and (len(problems) + len(norms)) * per_problem > _EST_FLOATS:
+            yield from _chunk_bounds(chunk, problems)
+            chunk, problems = [], []
+        chunk.append((ctx, len(norms)))
+        problems += [(t, r, s, ecfg) for r, s in norms]
+    yield from _chunk_bounds(chunk, problems)
+
+
+def _chunk_bounds(chunk: list, problems: list):
+    """One estimate_many call for a chunk; each (ctx, n problems) of the
+    chunk gets its context and its n lower bounds back."""
+    bounds = iter([est.lower_bound for est in estimate_many(problems)])
+    for ctx, n in chunk:
+        yield ctx, [next(bounds) for _ in range(n)]
 
 
 # -- inequality suites ---------------------------------------------------
@@ -216,11 +258,11 @@ def _norm_family_suite(cfg: CampaignConfig, kind: str):
     alg = parse_algebra(cfg.algebra)
     pairs = [(r, s) for r in cfg.exponents for s in cfg.exponents]
 
-    def one(trial: int) -> dict:
+    def plan(trial: int, ecfg: EstimatorConfig):
         a = random_element(alg, _rng(cfg.seed, 6, trial))
-        t = lyapunov(a) if kind == "lyapunov" else quadratic_rep(a)
-        ecfg = _est_cfg(cfg, trial)
-        ests = [est.lower_bound for est in estimate_many([(t, r, s, ecfg) for r, s in pairs])]
+        return a, lyapunov(a) if kind == "lyapunov" else quadratic_rep(a), pairs
+
+    def one(trial: int, a, ests: list) -> dict:
         out = {"trial": trial, "exact_delta": 0.0, "upper_overshoot": -math.inf,
                "lower_slack": math.inf, "case": None}
         for (r, s), est in zip(pairs, ests):
@@ -242,7 +284,7 @@ def _norm_family_suite(cfg: CampaignConfig, kind: str):
                 out[key] = 0.0
         return out
 
-    rows = [one(trial) for trial in range(cfg.trials)]
+    rows = [one(trial, a, ests) for trial, (a, ests) in enumerate(_estimated(cfg, alg, plan))]
     max_delta = max(r["exact_delta"] for r in rows)
     max_over = max(r["upper_overshoot"] for r in rows)
     min_slack = min(r["lower_slack"] for r in rows)
@@ -278,14 +320,16 @@ def _suite_positive(cfg: CampaignConfig):
     e = unit(alg)
     inf = ExtExponent(math.inf)
     one_exp = ExtExponent(1.0)
+    # per exponent: the two identity problems, then the three capped ones
+    pairs = [rs for p in exps for rs in ((inf, p), (p, one_exp), (p, inf), (one_exp, p), (p, p))]
 
-    def one(trial: int) -> dict:
+    def plan(trial: int, ecfg: EstimatorConfig):
         family, pm = _positive_map(cfg, alg, trial)
-        ecfg = _est_cfg(cfg, trial)
+        return (family, pm), pm, pairs
+
+    def one(trial: int, family: str, pm: LinearMap, bounds: list) -> dict:
         pe, pse = pm(e), pm.adjoint(e)
-        # per exponent: the two identity problems, then the three capped ones
-        pairs = [rs for p in exps for rs in ((inf, p), (p, one_exp), (p, inf), (one_exp, p), (p, p))]
-        ests = iter([est.lower_bound for est in estimate_many([(pm, r, s, ecfg) for r, s in pairs])])
+        ests = iter(bounds)
         out = {"trial": trial, "family": family, "identity_delta": 0.0,
                "cap_overshoot": -math.inf, "case": None}
         for p in exps:
@@ -309,7 +353,7 @@ def _suite_positive(cfg: CampaignConfig):
                 out["cap_overshoot"] = max(out["cap_overshoot"], (est - cap) / max(1.0, cap))
         return out
 
-    rows = [one(trial) for trial in range(cfg.trials)]
+    rows = [one(trial, *ctx, ests) for trial, (ctx, ests) in enumerate(_estimated(cfg, alg, plan))]
     max_delta = max(r["identity_delta"] for r in rows)
     max_over = max(r["cap_overshoot"] for r in rows)
     margins = {"max_identity_delta": float(max_delta), "max_cap_overshoot": float(max_over)}
@@ -324,29 +368,28 @@ def _pick(rng: np.random.Generator, exps: tuple) -> ExtExponent:
     return exps[int(rng.integers(len(exps)))]
 
 
-def _interp_suite(cfg: CampaignConfig, checker) -> tuple[bool, dict, list]:
-    def one(trial: int) -> dict:
-        rep, extra = checker(trial)
-        ratio = rep.lhs_lower / max(rep.rhs, 1e-30)
-        row = {"trial": trial, "ratio": float(ratio), "violated": rep.violated,
-               "rerun": rep.seeds.get("rerun") is not None, "report": rep.to_json()}
-        row.update(extra)
-        return row
-
-    rows = [one(trial) for trial in range(cfg.trials)]
-    violated = [r for r in rows if r["violated"]]
-    max_ratio = max(r["ratio"] for r in rows)
-    ds_over = max((r.get("ds_overshoot", -math.inf) for r in rows), default=-math.inf)
-    margins = {
-        "max_lhs_over_rhs": float(max_ratio),
-        "violations": len(violated),
-        "reruns": sum(r["rerun"] for r in rows),
-    }
-    if math.isfinite(ds_over):
-        margins["max_ds_overshoot"] = float(ds_over)
-    witnesses = [r["report"] for r in violated[:8]] or [max(rows, key=lambda r: r["ratio"])["report"]]
-    passed = not violated and (not math.isfinite(ds_over) or ds_over <= INEQ_SLACK)
-    return passed, margins, witnesses
+def _interp_suite(cfg: CampaignConfig, plan) -> tuple[bool, dict, list]:
+    """plan(trial, ecfg) returns (check, t, norms): check(first) judges
+    the trial from the first-pass bounds of the norms (r, s) of map t and
+    returns (BoundReport, extra margins, each a maximum over trials).
+    Only the reports that can become witnesses are kept, so memory does
+    not grow with cfg.trials."""
+    alg = parse_algebra(cfg.algebra)
+    top, violated, margins = None, [], {"max_lhs_over_rhs": -math.inf, "violations": 0, "reruns": 0}
+    for check, first in _estimated(cfg, alg, plan):
+        rep, extra = check(first)
+        ratio = float(rep.lhs_lower / max(rep.rhs, 1e-30))
+        if ratio > margins["max_lhs_over_rhs"]:
+            margins["max_lhs_over_rhs"], top = ratio, rep
+        if rep.violated and len(violated) < 8:
+            violated.append(rep.to_json())
+        margins["violations"] += rep.violated
+        margins["reruns"] += rep.seeds.get("rerun") is not None
+        for key, value in extra.items():
+            margins[key] = max(margins.get(key, -math.inf), value)
+    ds_over = margins.get("max_ds_overshoot", -math.inf)
+    passed = not margins["violations"] and ds_over <= INEQ_SLACK
+    return passed, margins, violated or [top.to_json()]
 
 
 def _suite_theorem1(cfg: CampaignConfig):
@@ -355,21 +398,21 @@ def _suite_theorem1(cfg: CampaignConfig):
     alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
-    def checker(trial: int):
+    def plan(trial: int, ecfg: EstimatorConfig):
         rng = _rng(cfg.seed, 9, trial)
-        ecfg = _est_cfg(cfg, trial)
         theta = float(rng.uniform())
         p0, p1 = _pick(rng, exps), _pick(rng, exps)
-        if trial % 5 != 4:
-            return check_theorem1(random_map(alg, rng), p0, p1, theta, ecfg), {}
-        # the probe's diagonal norms are the check's first-pass endpoint norms
-        t = random_doubly_stochastic(alg, rng)
-        pt = interpolate(p0, p1, theta)
-        first = [est.lower_bound for est in estimate_many([(t, p, p, ecfg) for p in (pt, p0, p1)])]
-        extra = {"ds_overshoot": float(max(m - 1.0 for m in first[1:]))}
-        return check_theorem1(t, p0, p1, theta, ecfg, first=first), extra
+        probe = trial % 5 == 4
+        t = random_doubly_stochastic(alg, rng) if probe else random_map(alg, rng)
 
-    return _interp_suite(cfg, checker)
+        def check(first):
+            # the probe's diagonal norms are the check's first-pass endpoint norms
+            extra = {"max_ds_overshoot": float(max(m - 1.0 for m in first[1:]))} if probe else {}
+            return check_theorem1(t, p0, p1, theta, ecfg, first=first), extra
+
+        return check, t, theorem1_case(p0, p1, theta).norms
+
+    return _interp_suite(cfg, plan)
 
 
 def _suite_theorem2(cfg: CampaignConfig):
@@ -378,15 +421,19 @@ def _suite_theorem2(cfg: CampaignConfig):
     alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
-    def checker(trial: int):
+    def plan(trial: int, ecfg: EstimatorConfig):
         rng = _rng(cfg.seed, 10, trial)
         t = random_map(alg, rng)
         pair = ExponentPair(_pick(rng, exps), _pick(rng, exps), _pick(rng, exps), _pick(rng, exps))
         theta = float(rng.uniform())
-        rep = check_theorem2(t, pair, theta, _est_cfg(cfg, trial), theta_constant=bool(trial % 2))
-        return rep, {}
+        sharp = bool(trial % 2)
 
-    return _interp_suite(cfg, checker)
+        def check(first):
+            return check_theorem2(t, pair, theta, ecfg, theta_constant=sharp, first=first), {}
+
+        return check, t, theorem2_case(pair, theta, sharp).norms
+
+    return _interp_suite(cfg, plan)
 
 
 def _suite_corollary4(cfg: CampaignConfig):
@@ -397,17 +444,21 @@ def _suite_corollary4(cfg: CampaignConfig):
     if len({e.value for e in exps}) < 2:
         raise ReportError("corollary4 suite needs at least two distinct grid exponents")
 
-    def checker(trial: int):
+    def plan(trial: int, ecfg: EstimatorConfig):
         rng = _rng(cfg.seed, 11, trial)
         t = random_map(alg, rng)
         r = _pick(rng, exps)
         s = _pick(rng, exps)
         while s == r:
             s = _pick(rng, exps)
-        rep = check_corollary4(t, r, s, _est_cfg(cfg, trial), improved=bool(trial % 2))
-        return rep, {}
+        improved = bool(trial % 2)
 
-    return _interp_suite(cfg, checker)
+        def check(first):
+            return check_corollary4(t, r, s, ecfg, improved=improved, first=first), {}
+
+        return check, t, corollary4_case(r, s, improved).norms
+
+    return _interp_suite(cfg, plan)
 
 
 def _suite_three_lines(cfg: CampaignConfig):

@@ -114,6 +114,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cannot write output file" in err and str(out) in err
 
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    @pytest.mark.parametrize("argv", [("run", "--suite", "ftvn", "--trials", "5", "--out"),
+                                      ("cp-table", "--grid", "2", "--starts", "4", "--out"),
+                                      ("cp-table", "--grid", "2", "--starts", "4", "--csv")],
+                             ids=["run-out", "cp-table-out", "cp-table-csv"])
+    def test_bad_output_path_exits_before_the_run(self, tmp_path, capsys, argv, where):
+        # the path is checked before the campaign runs, so nothing prints
+        path = tmp_path / "missing" / "out" if where == "missing-parent" else tmp_path
+        assert run_cli(*argv, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output file" in captured.err and str(path) in captured.err
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_writable_check_creates_nothing(self, tmp_path):
+        reports.check_writable(tmp_path / "report.json")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_gen_holder_skips_pairs_past_the_exponent_rule(self, tmp_path):
         # every pair with r or p = 1.9999999999996 has 1/p + 1/r > 1 by at
         # least 5e-14, so no exponent s exists; they are skipped and (2, 2)

@@ -205,6 +205,21 @@ class TestTheoremChecks:
         assert check_theorem1(t, p0, p1, theta, CFG, first=first) == want
         assert calls == [] and not want.seeds["rerun"]
 
+    @pytest.mark.parametrize("check,case,x,y", [
+        (check_theorem2, interpolation.theorem2_case, ExponentPair.of(1, 3, 2, "inf"), 0.45),
+        (check_corollary4, interpolation.corollary4_case, 4, 2),
+    ], ids=["theorem2", "corollary4"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_checks_take_first_pass_from_caller(self, monkeypatch, check, case, x, y, flag):
+        # the first pass estimates the case's norms, in BoundCase.norms order
+        t = random_map(SYM3, 32)
+        first = [est.lower_bound for est in estimate_many([(t, r, s, CFG) for r, s in case(x, y, flag).norms])]
+        want = check(t, x, y, CFG, flag)
+        calls = []
+        monkeypatch.setattr(interpolation, "estimate_many", lambda problems: calls.append(problems))
+        assert check(t, x, y, CFG, flag, first=first) == want
+        assert calls == [] and not want.seeds["rerun"]
+
     def test_theorem1_equal_exponents_exact(self):
         rep = check_theorem1(random_map(SYM3, 27), 2.5, 2.5, 0.37, CFG)
         assert rep.margin == 0.0

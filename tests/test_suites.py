@@ -98,26 +98,6 @@ class TestAllSuitesSmoke:
                                          else {"z", "w", "violation"})
         assert SuiteReport.from_json(rep.to_json()).witnesses == rep.witnesses
 
-    def test_theorem1_one_estimator_call_per_trial(self, monkeypatch):
-        # the doubly stochastic probe (trial 4 of 5) reads the check's
-        # first-pass endpoint norms, so each trial makes one estimate_many
-        # call of three problems, plus one per rerun
-        from jspec import interpolation, suites
-
-        calls = []
-        real = suites.estimate_many
-
-        def spy(problems):
-            calls.append(len(problems))
-            return real(problems)
-
-        monkeypatch.setattr(suites, "estimate_many", spy)
-        monkeypatch.setattr(interpolation, "estimate_many", spy)
-        cfg = _smoke_cfg("theorem1")
-        rep = run_suite(cfg)
-        assert "max_ds_overshoot" in rep.margins
-        assert calls == [3] * (cfg.trials + rep.margins["reruns"])
-
     def test_corollary4_needs_two_distinct_exponents(self):
         with pytest.raises(ReportError):
             run_suite(_smoke_cfg("corollary4", grid=(2,)))
@@ -125,6 +105,92 @@ class TestAllSuitesSmoke:
     def test_mixed_algebra_smoke(self):
         rep = run_suite(_smoke_cfg("holder", algebra="sym:2,spin:3"))
         assert rep.passed
+
+
+ESTIMATOR_SUITES = ("lyapunov-norms", "quadrep-norms", "positive-norms", "theorem1", "theorem2", "corollary4")
+
+
+def _spy(monkeypatch, module, calls: list) -> None:
+    """Record the problems of each estimate_many call made from module."""
+    real = module.estimate_many
+
+    def spy(problems):
+        calls.append(problems)
+        return real(problems)
+
+    monkeypatch.setattr(module, "estimate_many", spy)
+
+
+class TestTrialChunks:
+    """The estimator suites estimate consecutive trials' first passes in
+    one estimate_many call while it fits suites._EST_FLOATS floats."""
+
+    # a weak estimator makes one trial rerun; a problem is 8 floats, so 48
+    # floats hold two trials and 1 float holds none
+    RERUN = dict(suite="theorem1", algebra="spin:4", trials=10, seed=2, restarts=2, max_iters=2)
+
+    @pytest.mark.parametrize("floats,sizes", [(None, [30]), (48, [6] * 5), (1, [3] * 10)],
+                             ids=["default", "two-trials", "one-trial"])
+    def test_theorem1_estimates_each_first_pass_once(self, monkeypatch, floats, sizes):
+        from jspec import interpolation, suites
+
+        if floats is not None:
+            monkeypatch.setattr(suites, "_EST_FLOATS", floats)
+        chunks, reruns = [], []
+        _spy(monkeypatch, suites, chunks)
+        _spy(monkeypatch, interpolation, reruns)
+        cfg = CampaignConfig(**self.RERUN)
+        rep = run_suite(cfg)
+        assert "max_ds_overshoot" in rep.margins  # trials 4 and 9 are doubly stochastic probes
+        assert rep.margins["reruns"] == 1
+        assert [len(problems) for problems in chunks] == sizes
+        # each trial's three first-pass problems, once each and in trial order
+        first = [(id(t), c.seed) for problems in chunks for t, _, _, c in problems]
+        assert len(set(first)) == cfg.trials
+        seeds = [derive_seed(cfg.seed, 7, k, 0) for k in range(cfg.trials)]
+        assert [seed for _, seed in first] == [seed for seed in seeds for _ in range(3)]
+        assert [len(problems) for problems in reruns] == [3]
+        assert all(c.restarts == 4 * cfg.restarts for *_, c in reruns[0])
+        # no call passes the budget unless one trial alone does
+        per_problem = cfg.restarts * 4
+        assert all(len(p) * per_problem <= suites._EST_FLOATS or len(p) == 3 for p in chunks)
+
+    @pytest.mark.parametrize("suite", ESTIMATOR_SUITES)
+    def test_reports_do_not_depend_on_the_budget(self, monkeypatch, suite):
+        from jspec import suites
+
+        cfg = _smoke_cfg(suite)
+        calls = []
+        _spy(monkeypatch, suites, calls)
+        want = run_suite(cfg)
+        assert len(calls) == 1  # every trial in one call
+        monkeypatch.setattr(suites, "_EST_FLOATS", 1)  # one trial per call
+        got = run_suite(cfg)
+        assert len(calls) == 1 + cfg.trials
+        assert got.margins == want.margins
+        assert got.witnesses == want.witnesses
+        assert got.checksum == want.checksum
+
+    @pytest.mark.parametrize("suite,problems", [("lyapunov-norms", 9), ("positive-norms", 15),
+                                                ("theorem1", 3), ("corollary4", 3)])
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, suite, problems):
+        from jspec import suites
+
+        def peak(trials):
+            cfg = CampaignConfig(suite=suite, algebra="sym:4", trials=trials, grid=(1.5, 3, "inf"),
+                                 restarts=8, max_iters=5, seed=1)
+            tracemalloc.start()
+            try:
+                run_suite(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # four trials per call (sym:4 has dim 10), so 8 and 32 trials span
+        # 2 and 8 calls; a first run keeps one-time allocations out
+        monkeypatch.setattr(suites, "_EST_FLOATS", 4 * problems * 8 * 10)
+        peak(1)
+        assert peak(4 * 8) <= 1.2 * peak(8)
 
 
 BULK = "sym:2,spin:3,herm:2"  # dim 10

@@ -23,10 +23,13 @@ random_frame(rng). eigvals(u) is decomp(u)[0] computed without the Jordan
 frame; norms and trace inequalities need only eigenvalues, so they never
 pay for eigenvectors. A RealLines block gives its eigenvalues in chart
 order (they are its coordinates, and its basis is None); every other
-factor gives them descending. The trace is tr(a) = <a, e>, so no factor
-carries a separate trace vector. Real symmetric and complex Hermitian
-matrices are one family, Herm_k(F), and share _MatrixFactor; only the
-scalar field and the chart differ.
+factor gives them descending. Algebra.decomp(u) has the same shape,
+(eigenvalues, decs): the factors' eigenvalues concatenated, as
+Algebra.eigenvalues gives them, and the list of factor decompositions
+that Algebra.rebuild and Algebra.frame_coords take. The trace is
+tr(a) = <a, e>, so no factor carries a separate trace vector. Real
+symmetric and complex Hermitian matrices are one family, Herm_k(F), and
+share _MatrixFactor; only the scalar field and the chart differ.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -161,9 +164,7 @@ class Spin(_Factor):
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
         w = rng.standard_normal(self.dim - 1)
-        w /= np.linalg.norm(w)
-        ones = np.ones(1)
-        return np.stack([np.concatenate([ones, w]), np.concatenate([ones, -w])]) / _SQRT2
+        return self.frame((None, w / np.linalg.norm(w)))
 
 
 class _MatrixFactor(_Factor):
@@ -323,11 +324,11 @@ class Algebra:
             out[..., sl] = f.jordan(u[..., sl], v[..., sl])
         return out
 
-    def decomp(self, coords: np.ndarray) -> list:
-        return [f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)]
-
-    def eigenvalues_from(self, decs: list) -> np.ndarray:
-        return np.concatenate([d[0] for d in decs], axis=-1)
+    def decomp(self, coords: np.ndarray) -> tuple[np.ndarray, list]:
+        """(eigenvalues, decs): the eigenvalue vector as eigenvalues(coords)
+        lays it out, and each factor's decomp for rebuild and frame_coords."""
+        decs = [f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)]
+        return np.concatenate([d[0] for d in decs], axis=-1), decs
 
     def eigenvalues(self, coords: np.ndarray) -> np.ndarray:
         """Eigenvalue vector per batch entry, factor-concatenated: an rn

@@ -116,8 +116,7 @@ def eigenvalues(a: Element) -> np.ndarray:
 def spectral_decomposition(a: Element) -> SpectralDecomposition:
     """Eigenvalues (decreasing) with a Jordan frame of primitive idempotents."""
     alg = a.algebra
-    decs = alg.decomp(a.coords)
-    lam = alg.eigenvalues_from(decs)
+    lam, decs = alg.decomp(a.coords)
     frames = alg.frame_coords(decs)  # (rank, dim)
     order = np.argsort(-lam, kind="stable")
     frame = tuple(Element(alg, frames[j]) for j in order)
@@ -134,8 +133,7 @@ def abs_power(a: Element, gamma: float) -> Element:
     if not gamma > 0.0:
         raise ValueError(f"exponent must be positive, got {gamma!r}")
     alg = a.algebra
-    decs = alg.decomp(a.coords)
-    lam = alg.eigenvalues_from(decs)
+    lam, decs = alg.decomp(a.coords)
     return Element(alg, alg.rebuild(decs, np.abs(lam) ** float(gamma)))
 
 
@@ -154,7 +152,7 @@ def random_element(
 ) -> Element:
     """Random element: i.i.d. standard normal chart coordinates, or, when a
     spectrum is given, sum lam_i e_i over a random Jordan frame."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     if spectrum is None:
         return Element(alg, rng.standard_normal(alg.dim))
     lam = np.asarray(spectrum, dtype=float)

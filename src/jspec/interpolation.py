@@ -195,53 +195,48 @@ class BoundCase(NamedTuple):
 
 def _interp_report(
     t: LinearMap,
-    theorem: str,
-    lhs_rs: tuple[ExtExponent, ExtExponent],
-    end0: tuple[ExtExponent, ExtExponent],
-    end1: tuple[ExtExponent, ExtExponent],
-    theta: float,
-    constant: float,
+    case: BoundCase,
     cfg: EstimatorConfig,
     first: Sequence[float] | None = None,
 ) -> BoundReport:
-    """Shared check core. Estimates all three norms with matched seeds,
-    so degenerate instances (equal exponent pairs, theta at an endpoint)
-    cancel exactly; near-violations trigger one re-estimation pass at
-    4x restarts with a shifted seed, keeping the max (still a valid
-    lower bound for each norm). first holds the first pass's lower
-    bounds for (lhs, end0, end1), estimated with cfg, when the caller
-    already has them: the campaign suites estimate many trials' first
-    passes in one estimate_many call. The re-estimation pass is always
-    made here, one call per check."""
-    lhs, m0, m1 = _estimates(t, (lhs_rs, end0, end1), cfg) if first is None else first
+    """Shared check core: tests case on t. Estimates the three norms of
+    case.norms with matched seeds, so degenerate instances (equal
+    exponent pairs, theta at an endpoint) cancel exactly; near-violations
+    trigger one re-estimation pass at 4x restarts with a shifted seed,
+    keeping the max (still a valid lower bound for each norm). first
+    holds the first pass's lower bounds for case.norms, estimated with
+    cfg, when the caller already has them: the campaign suites estimate
+    many trials' first passes in one estimate_many call. The
+    re-estimation pass is always made here, one call per check."""
+    lhs, m0, m1 = _estimates(t, case.norms, cfg) if first is None else first
     seeds = {"estimator": cfg.seed, "rerun": None}
 
     def rhs_of(m0v, m1v):
-        return constant * m0v ** (1.0 - theta) * m1v ** theta
+        return case.constant * m0v ** (1.0 - case.theta) * m1v ** case.theta
 
     rhs = rhs_of(m0, m1)
     margin = rhs - lhs
     if margin < -VIOLATION_RTOL * max(rhs, 1e-30):
         wide = replace(cfg, restarts=4 * cfg.restarts, seed=cfg.seed + 101)
-        lhs_w, m0_w, m1_w = _estimates(t, (lhs_rs, end0, end1), wide)
+        lhs_w, m0_w, m1_w = _estimates(t, case.norms, wide)
         lhs, m0, m1 = max(lhs, lhs_w), max(m0, m0_w), max(m1, m1_w)
         rhs = rhs_of(m0, m1)
         margin = rhs - lhs
         seeds["rerun"] = wide.seed
     violated = bool(margin < -VIOLATION_RTOL * max(rhs, 1e-30))
     exps = {
-        "r0": exponent_to_json(end0[0].value), "s0": exponent_to_json(end0[1].value),
-        "r1": exponent_to_json(end1[0].value), "s1": exponent_to_json(end1[1].value),
-        "r_theta": exponent_to_json(lhs_rs[0].value), "s_theta": exponent_to_json(lhs_rs[1].value),
+        "r0": exponent_to_json(case.end0[0].value), "s0": exponent_to_json(case.end0[1].value),
+        "r1": exponent_to_json(case.end1[0].value), "s1": exponent_to_json(case.end1[1].value),
+        "r_theta": exponent_to_json(case.lhs[0].value), "s_theta": exponent_to_json(case.lhs[1].value),
     }
     return BoundReport(
-        theorem=theorem,
+        theorem=case.theorem,
         algebra=t.algebra.descriptor,
         exponents=exps,
-        theta=float(theta),
+        theta=float(case.theta),
         lhs_lower=float(lhs),
         rhs=float(rhs),
-        constant=float(constant),
+        constant=float(case.constant),
         margin=float(margin),
         violated=violated,
         seeds=seeds,
@@ -297,7 +292,7 @@ def check_theorem1(
     """Check theorem1_case(p0, p1, theta) on t. first optionally holds the
     lower bounds of its norms (BoundCase.norms) that estimate_many
     already returned for cfg, so the first pass is not estimated again."""
-    return _interp_report(t, *theorem1_case(p0, p1, theta), cfg or EstimatorConfig(), first)
+    return _interp_report(t, theorem1_case(p0, p1, theta), cfg or EstimatorConfig(), first)
 
 
 def check_theorem2(
@@ -310,7 +305,7 @@ def check_theorem2(
 ) -> BoundReport:
     """Check theorem2_case(pair, theta, theta_constant) on t; first as in
     check_theorem1."""
-    return _interp_report(t, *theorem2_case(pair, theta, theta_constant), cfg or EstimatorConfig(), first)
+    return _interp_report(t, theorem2_case(pair, theta, theta_constant), cfg or EstimatorConfig(), first)
 
 
 def check_corollary4(
@@ -323,7 +318,7 @@ def check_corollary4(
 ) -> BoundReport:
     """Check corollary4_case(r, s, improved) on t; first as in
     check_theorem1."""
-    return _interp_report(t, *corollary4_case(r, s, improved), cfg or EstimatorConfig(), first)
+    return _interp_report(t, corollary4_case(r, s, improved), cfg or EstimatorConfig(), first)
 
 
 # -- three lines walk-through -------------------------------------------

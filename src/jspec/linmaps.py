@@ -13,6 +13,7 @@ not a claim of global optimality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,7 +132,7 @@ def reflection_mixture(units: Sequence[Element], weights: Sequence[float] | None
 def random_doubly_stochastic(alg: Algebra, seed: int | np.random.Generator, terms: int = 4) -> LinearMap:
     """Random doubly stochastic map: mixture of quadratic representations
     P_u with u = sum +/- e_i over random Jordan frames."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     units = []
     for _ in range(terms):
         frame = alg.random_frame(rng)
@@ -143,7 +144,7 @@ def random_doubly_stochastic(alg: Algebra, seed: int | np.random.Generator, term
 
 def random_map(alg: Algebra, seed: int | np.random.Generator) -> LinearMap:
     """Gaussian random map on the chart (campaign fodder)."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     return LinearMap(alg, rng.standard_normal((alg.dim, alg.dim)))
 
 
@@ -162,12 +163,9 @@ def _peak_spectrum(lam: np.ndarray, p: ExtExponent):
     amax = alam.max(axis=-1)
     ok = amax > _ZERO_EIG
     if p.value == 1.0:
-        # single idempotent at the first (in decreasing eigenvalue order)
-        # index attaining max |lambda_j|
-        order = np.argsort(-lam, axis=-1, kind="stable")
-        sorted_abs = np.take_along_axis(alam, order, axis=-1)
-        first = np.argmax(sorted_abs >= amax[..., None], axis=-1)
-        k = np.take_along_axis(order, first[..., None], axis=-1)[..., 0]
+        # single idempotent: among the indices attaining max |lambda_j|,
+        # the one with the largest lambda_j, the first of equal ones
+        k = np.argmax(np.where(alam >= amax[..., None], lam, -np.inf), axis=-1)
         lam_new = np.zeros_like(lam)
         rows = np.arange(lam.shape[0])
         picked = lam[rows, k]
@@ -211,8 +209,7 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
     for lo in range(0, len(rest), step):
         sel = rest[lo:lo + step]
         w = which[sel]
-        decs = alg.decomp(x[sel])
-        lam = alg.eigenvalues_from(decs)
+        lam, decs = alg.decomp(x[sel])
         lam_new, ok_sel = np.empty_like(lam), np.empty(len(sel), dtype=bool)
         for k, p in enumerate(exps):
             at = w == k
@@ -238,8 +235,10 @@ def peak(c: Element, p: ExponentLike) -> Element:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """restarts and max_iters >= 1 and tol >= 0 (ValueError otherwise);
-    a nan or infinite tol raises NonFiniteInputError."""
+    """restarts, max_iters and seed are integers (TypeError otherwise, a
+    bool included); restarts and max_iters >= 1, seed >= 0 and tol >= 0
+    (ValueError otherwise); a nan or infinite tol raises
+    NonFiniteInputError."""
 
     restarts: int = 64
     max_iters: int = 200
@@ -247,9 +246,12 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not math.isfinite(self.tol):
             raise NonFiniteInputError(f"tol must be finite, got {self.tol}")
         if self.tol < 0.0:
@@ -387,15 +389,14 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
     if not live:
         return out
 
-    # one leading entry per problem still in the stack; each side's
-    # exponents are indices into its distinct exponents and unit table
+    # one leading entry per problem still in the stack; the r and s'
+    # exponents of both sides index one table of distinct exponents and
+    # their units
     ids = np.array(live)
-    r_exps = list(dict.fromkeys(probs[i][1] for i in live))
-    sp_exps = list(dict.fromkeys(probs[i][2].conjugate for i in live))
-    r_k = np.array([r_exps.index(probs[i][1]) for i in live])
-    sp_k = np.array([sp_exps.index(probs[i][2].conjugate) for i in live])
-    r_units = np.stack([unit_at(p) for p in r_exps])
-    sp_units = np.stack([unit_at(p) for p in sp_exps])
+    exps = list(dict.fromkeys(p for i in live for p in (probs[i][1], probs[i][2].conjugate)))
+    units = np.stack([unit_at(p) for p in exps])
+    r_k = np.array([exps.index(probs[i][1]) for i in live])
+    sp_k = np.array([exps.index(probs[i][2].conjugate) for i in live])
     mk = np.array([probs[i][0] for i in live])  # each problem's map
     a_rows = np.empty((len(live), cfg.restarts, alg.dim))
     cert = np.empty(len(live))  # a best value at or above this is certified
@@ -410,7 +411,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
         upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
         cert[j] = upper - cfg.tol * max(1.0, upper)
     del starts, rows, lam
-    b_rows = np.repeat(sp_units[sp_k][:, None, :], cfg.restarts, axis=1)
+    b_rows = np.repeat(units[sp_k][:, None, :], cfg.restarts, axis=1)
     values = np.full((len(live), cfg.restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
     best = np.full(len(live), -np.inf)
@@ -418,10 +419,7 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
 
     for it in range(cfg.max_iters):
         # a -> b peaks T a in the s' ball; b -> a peaks T* b in the r ball
-        for src, adj, dst, units, exps, which in (
-            (a_rows, True, b_rows, sp_units, sp_exps, sp_k),
-            (b_rows, False, a_rows, r_units, r_exps, r_k),
-        ):
+        for src, adj, dst, which in ((a_rows, True, b_rows, sp_k), (b_rows, False, a_rows, r_k)):
             # only restarts that have not stalled take the step; a zero
             # peak falls back to the unit. The per-problem matrices are
             # gathered for the matmul alone, so the stack holds one per map

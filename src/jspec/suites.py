@@ -89,8 +89,18 @@ def _est_cfg(cfg: CampaignConfig, trial: int) -> EstimatorConfig:
     )
 
 
-def _worst(items: list, key: str) -> list:
-    return sorted(items, key=lambda w: -w[key])[:3]
+def _fold(rows, worst: str, **margins) -> tuple[dict, list]:
+    """Fold trial rows, one at a time, into margins and the 3 rows with
+    the largest row[worst] (the earlier of equal ones first), so memory
+    does not grow with the trial count. Each margin is name=(max or min,
+    row key)."""
+    out = {name: -math.inf if pick is max else math.inf for name, (pick, _) in margins.items()}
+    top = []
+    for row in rows:
+        for name, (pick, key) in margins.items():
+            out[name] = pick(out[name], float(row[key]))
+        top = sorted(top + [row], key=lambda w: -w[worst])[:3]
+    return out, top
 
 
 def _estimated(cfg: CampaignConfig, alg: Algebra, plan):
@@ -159,8 +169,7 @@ def _holder_rows(alg: Algebra, p: ExtExponent, a: np.ndarray, b: np.ndarray):
     q = p.conjugate
     ip = np.abs(np.einsum("ij,ij->i", a, b))
     ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
-    decs = alg.decomp(a)  # one decomposition for ||a||_p and the peak
-    lam_a = alg.eigenvalues_from(decs)
+    lam_a, decs = alg.decomp(a)  # one decomposition for ||a||_p and the peak
     na = vector_pnorm(lam_a, p)
     nb = vector_pnorm(alg.eigenvalues(b), q)
     scale = np.maximum(na * nb, 1e-30)
@@ -284,17 +293,12 @@ def _norm_family_suite(cfg: CampaignConfig, kind: str):
                 out[key] = 0.0
         return out
 
-    rows = [one(trial, a, ests) for trial, (a, ests) in enumerate(_estimated(cfg, alg, plan))]
-    max_delta = max(r["exact_delta"] for r in rows)
-    max_over = max(r["upper_overshoot"] for r in rows)
-    min_slack = min(r["lower_slack"] for r in rows)
-    margins = {
-        "max_exact_delta": float(max_delta),
-        "max_upper_overshoot": float(max_over),
-        "min_lower_slack": float(min_slack),
-    }
-    passed = max_delta <= EST_RTOL and max_over <= INEQ_SLACK and min_slack >= -EST_RTOL
-    return passed, margins, _worst(rows, "exact_delta")
+    rows = (one(trial, a, ests) for trial, (a, ests) in enumerate(_estimated(cfg, alg, plan)))
+    margins, top = _fold(rows, "exact_delta", max_exact_delta=(max, "exact_delta"),
+                         max_upper_overshoot=(max, "upper_overshoot"), min_lower_slack=(min, "lower_slack"))
+    passed = (margins["max_exact_delta"] <= EST_RTOL and margins["max_upper_overshoot"] <= INEQ_SLACK
+              and margins["min_lower_slack"] >= -EST_RTOL)
+    return passed, margins, top
 
 
 def _positive_map(cfg: CampaignConfig, alg: Algebra, trial: int) -> tuple[str, LinearMap]:
@@ -353,12 +357,11 @@ def _suite_positive(cfg: CampaignConfig):
                 out["cap_overshoot"] = max(out["cap_overshoot"], (est - cap) / max(1.0, cap))
         return out
 
-    rows = [one(trial, *ctx, ests) for trial, (ctx, ests) in enumerate(_estimated(cfg, alg, plan))]
-    max_delta = max(r["identity_delta"] for r in rows)
-    max_over = max(r["cap_overshoot"] for r in rows)
-    margins = {"max_identity_delta": float(max_delta), "max_cap_overshoot": float(max_over)}
-    passed = max_delta <= EST_RTOL and max_over <= INEQ_SLACK
-    return passed, margins, _worst(rows, "identity_delta")
+    rows = (one(trial, *ctx, ests) for trial, (ctx, ests) in enumerate(_estimated(cfg, alg, plan)))
+    margins, top = _fold(rows, "identity_delta", max_identity_delta=(max, "identity_delta"),
+                         max_cap_overshoot=(max, "cap_overshoot"))
+    passed = margins["max_identity_delta"] <= EST_RTOL and margins["max_cap_overshoot"] <= INEQ_SLACK
+    return passed, margins, top
 
 
 # -- interpolation falsification campaigns ------------------------------
@@ -495,18 +498,15 @@ def _suite_three_lines(cfg: CampaignConfig):
             "theta": theta,
         }
 
-    rows = [one(trial) for trial in range(cfg.trials)]
-    margins = {
-        "max_pairing_error": float(max(r["pairing_error"] for r in rows)),
-        "max_geo_overshoot": float(max(r["geo_overshoot"] for r in rows)),
-        "max_cap_overshoot": float(max(r["cap_overshoot"] for r in rows)),
-    }
+    rows = (one(trial) for trial in range(cfg.trials))
+    margins, top = _fold(rows, "pairing_error", max_pairing_error=(max, "pairing_error"),
+                         max_geo_overshoot=(max, "geo_overshoot"), max_cap_overshoot=(max, "cap_overshoot"))
     passed = (
         margins["max_pairing_error"] <= INEQ_SLACK
         and margins["max_geo_overshoot"] <= LINE_SLACK
         and margins["max_cap_overshoot"] <= LINE_SLACK
     )
-    return passed, margins, _worst(rows, "pairing_error")
+    return passed, margins, top
 
 
 # -- scalar-oracle suites ------------------------------------------------

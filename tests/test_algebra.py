@@ -135,14 +135,13 @@ class TestSpectral:
 
     def test_rebuild_reconstructs(self, algebra, rng):
         u = rng.standard_normal((50, algebra.dim))
-        decs = algebra.decomp(u)
-        lam = algebra.eigenvalues_from(decs)
+        lam, decs = algebra.decomp(u)
         back = algebra.rebuild(decs, lam)
         assert np.allclose(back, u, atol=1e-10)
 
     def test_frames_are_orthonormal_idempotent_complete(self, algebra, rng):
         u = rng.standard_normal((20, algebra.dim))
-        decs = algebra.decomp(u)
+        _, decs = algebra.decomp(u)
         frames = algebra.frame_coords(decs)  # (20, rank, dim)
         # completeness
         assert np.allclose(frames.sum(axis=1), algebra.unit_coords(), atol=1e-9)
@@ -170,7 +169,7 @@ class TestSpectral:
 
     def test_spin_zero_vector_part_frame(self):
         alg = parse_algebra("spin:4")
-        decs = alg.decomp(alg.unit_coords())
+        _, decs = alg.decomp(alg.unit_coords())
         frames = alg.frame_coords(decs)
         assert np.allclose(frames.sum(axis=0), alg.unit_coords(), atol=1e-14)
 
@@ -191,7 +190,7 @@ class TestEigenvalueKernel:
         x = self._batch(algebra, rng)
         for u in (x, x[0], x[1, 2]):  # leading shapes (2, 3), (3,) and none
             got = algebra.eigenvalues(u)
-            want = algebra.eigenvalues_from(algebra.decomp(u))
+            want = algebra.decomp(u)[0]
             assert got.shape == u.shape[:-1] + (algebra.rank,)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -208,18 +207,18 @@ class TestEigenvalueKernel:
 
     def test_decomp_leads_with_eigenvalues(self, algebra, rng):
         """No factor has trace_vector or eigenvalues(dec): decomp(u)[0] is
-        what Algebra.eigenvalues_from concatenates."""
+        what Algebra.decomp concatenates into its eigenvalues."""
         for factor in (RealLines, Spin, SymMatrix, HermMatrix):
             assert not hasattr(factor, "trace_vector") and not hasattr(factor, "eigenvalues")
         u = rng.standard_normal((4, algebra.dim))
         want = [f.decomp(u[:, sl])[0] for f, sl in zip(algebra.factors, algebra.slices)]
-        assert np.array_equal(algebra.eigenvalues_from(algebra.decomp(u)), np.concatenate(want, axis=-1))
+        assert np.array_equal(algebra.decomp(u)[0], np.concatenate(want, axis=-1))
 
     @pytest.mark.parametrize("desc", ["rn:6", "spin:5", "spin:2", "rn:2,spin:3,rn:1"])
     def test_spin_and_rn_bitwise(self, desc, rng):
         alg = parse_algebra(desc)
         x = self._batch(alg, rng)
-        assert np.array_equal(alg.eigenvalues(x), alg.eigenvalues_from(alg.decomp(x)))
+        assert np.array_equal(alg.eigenvalues(x), alg.decomp(x)[0])
 
 
 class TestDenseCodecs:

@@ -186,7 +186,8 @@ class TestTheoremChecks:
         monkeypatch.setattr(interpolation, "estimate_many", spy)
         a, b = ExtExponent(1.5), ExtExponent(3.0)
         t = random_map(SYM3, 29)
-        rep = interpolation._interp_report(t, "theorem1", (a, a), (a, a), (b, b), 0.0, 0.5, CFG)
+        case = interpolation.BoundCase("theorem1", (a, a), (a, a), (b, b), 0.0, 0.5)
+        rep = interpolation._interp_report(t, case, CFG)
         assert rep.seeds == {"estimator": CFG.seed, "rerun": CFG.seed + 101}
         assert len(calls) == 2
         assert all(cfg == CFG for cfg in calls[0][0])

@@ -211,8 +211,8 @@ class TestPeak:
         c = random_element(algebra, 29)
         d = peak(c, 2)
         assert np.allclose(d.coords, c.coords / np.linalg.norm(c.coords), rtol=0.0, atol=1e-15)
-        decs = algebra.decomp(c.coords[None, :])
-        lam_new, ok = _peak_spectrum(algebra.eigenvalues_from(decs), ExtExponent(2.0))
+        lam, decs = algebra.decomp(c.coords[None, :])
+        lam_new, ok = _peak_spectrum(lam, ExtExponent(2.0))
         assert ok[0]
         assert np.allclose(d.coords, algebra.rebuild(decs, lam_new)[0], rtol=0.0, atol=1e-15)
 
@@ -221,6 +221,25 @@ class TestPeak:
         assert np.allclose(peak(Element(alg, np.array([-3.0, 3.0])), 1).coords, [0.0, 1.0])
         assert np.allclose(peak(Element(alg, np.array([3.0, -3.0])), 1).coords, [1.0, 0.0])
         assert np.allclose(peak(Element(alg, np.array([1.0, -5.0])), 1).coords, [0.0, -1.0])
+        assert np.allclose(peak(Element(alg, np.array([3.0, 3.0])), 1).coords, [1.0, 0.0])
+        assert np.allclose(peak(Element(alg, np.array([-3.0, -3.0])), 1).coords, [-1.0, 0.0])
+
+    def test_p1_pick_matches_sorted_rule_on_ties(self):
+        # reference rule: order the eigenvalues decreasing (stable), then
+        # take the first index attaining max |lambda|
+        rng = np.random.default_rng(43)
+        lam = rng.integers(-3, 4, size=(1000, 5)).astype(float)
+        lam[::97] = 0.0
+        alam, amax = np.abs(lam), np.abs(lam).max(axis=-1)
+        order = np.argsort(-lam, axis=-1, kind="stable")
+        first = np.argmax(np.take_along_axis(alam, order, axis=-1) >= amax[:, None], axis=-1)
+        k = np.take_along_axis(order, first[:, None], axis=-1)[:, 0]
+        rows = np.arange(len(lam))
+        want = np.zeros_like(lam)
+        want[rows, k] = np.where(lam[rows, k] >= 0, 1.0, -1.0) * (amax > 0)
+        got, ok = _peak_spectrum(lam, ExtExponent(1.0))
+        assert np.array_equal(ok, amax > 0)
+        assert np.array_equal(got, want)
 
     def test_pinf_uses_positive_sign_for_zero(self):
         alg = parse_algebra("rn:3")
@@ -315,6 +334,12 @@ class TestEstimatorConfig:
         ("restarts", 0, ValueError),
         ("restarts", -3, ValueError),
         ("max_iters", 0, ValueError),
+        ("seed", -1, ValueError),
+        ("seed", 1.5, TypeError),
+        ("seed", True, TypeError),
+        ("restarts", 4.0, TypeError),
+        ("max_iters", True, TypeError),
+        ("max_iters", "10", TypeError),
         ("tol", -1e-9, ValueError),
         ("tol", math.nan, NonFiniteInputError),
         ("tol", math.inf, NonFiniteInputError),
@@ -322,6 +347,10 @@ class TestEstimatorConfig:
     def test_rejects_bad_limits(self, field, value, error):
         with pytest.raises(error, match=field):
             EstimatorConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EstimatorConfig(restarts=np.int64(2), max_iters=np.int32(3), seed=np.int64(7))
+        assert op_norm_estimate(random_map(parse_algebra("sym:2"), 5), 2, 3, cfg).lower_bound > 0.0
 
     def test_smallest_limits_run(self):
         alg = parse_algebra("sym:2")

@@ -192,6 +192,29 @@ class TestTrialChunks:
         peak(1)
         assert peak(4 * 8) <= 1.2 * peak(8)
 
+    @pytest.mark.parametrize("suite,problems", [("lyapunov-norms", 9), ("positive-norms", 15),
+                                                ("three-lines", 2)])
+    def test_per_trial_rows_are_not_kept(self, monkeypatch, suite, problems):
+        # these suites fold each trial's row into running margins and a
+        # running top 3; keeping every row costs about 250-450 B per trial.
+        # A first run at the full trial count fills the interpreter's free
+        # lists (a bounded cost per object size that is not per-trial data)
+        from jspec import suites
+
+        def peak(trials):
+            cfg = CampaignConfig(suite=suite, algebra="sym:4", trials=trials, grid=(1.5, 3, "inf"),
+                                 restarts=8, max_iters=5, seed=1)
+            tracemalloc.start()
+            try:
+                run_suite(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(suites, "_EST_FLOATS", 4 * problems * 8 * 10)
+        peak(128)
+        assert peak(128) - peak(8) < 24 * 1024
+
 
 BULK = "sym:2,spin:3,herm:2"  # dim 10
 BLOCKED = {

@@ -18,18 +18,20 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 
 Factor protocol: every factor has a kind, a descriptor size, dim and
 rank, and the kernels unit_coords(), jordan(u, v), decomp(u) ->
-(eigenvalues, basis), eigvals(u), rebuild(dec, lam), frame(dec) and
-random_frame(rng). eigvals(u) is decomp(u)[0] computed without the Jordan
-frame; norms and trace inequalities need only eigenvalues, so they never
-pay for eigenvectors. A RealLines block gives its eigenvalues in chart
-order (they are its coordinates, and its basis is None); every other
-factor gives them descending. Algebra.decomp(u) has the same shape,
-(eigenvalues, decs): the factors' eigenvalues concatenated, as
-Algebra.eigenvalues gives them, and the list of factor decompositions
-that Algebra.rebuild and Algebra.frame_coords take. The trace is
-tr(a) = <a, e>, so no factor carries a separate trace vector. Real
-symmetric and complex Hermitian matrices are one family, Herm_k(F), and
-share _MatrixFactor; only the scalar field and the chart differ.
+(eigenvalues, basis), eigvals(u), rebuild(dec, lam), frame(dec),
+random_frame(rng) and random_idempotents(rng, cols) (for each i, row
+cols[i] of its own random frame, shape (len(cols), dim)). eigvals(u) is
+decomp(u)[0] computed without the Jordan frame; norms and trace
+inequalities need only eigenvalues, so they never pay for eigenvectors.
+A RealLines block gives its eigenvalues in chart order (they are its
+coordinates, and its basis is None); every other factor gives them
+descending. Algebra.decomp(u) has the same shape, (eigenvalues, decs):
+the factors' eigenvalues concatenated, as Algebra.eigenvalues gives
+them, and the list of factor decompositions that Algebra.rebuild and
+Algebra.frame_coords take. The trace is tr(a) = <a, e>, so no factor
+carries a separate trace vector. Real symmetric and complex Hermitian
+matrices are one family, Herm_k(F), and share _MatrixFactor; only the
+scalar field and the chart differ.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -103,6 +105,9 @@ class RealLines(_Factor):
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
         return np.eye(self.size)
 
+    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
+        return np.eye(self.size)[cols]
+
 
 class Spin(_Factor):
     """Spin factor on R^m: (x0, xbar) o (y0, ybar) = (x0 y0 + xbar.ybar,
@@ -166,6 +171,12 @@ class Spin(_Factor):
         w = rng.standard_normal(self.dim - 1)
         return self.frame((None, w / np.linalg.norm(w)))
 
+    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
+        w = rng.standard_normal((len(cols), self.dim - 1))
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        w[cols == 1] *= -1.0  # c- = (1, -w) / sqrt(2) in the chart
+        return np.concatenate([np.ones((len(cols), 1)), w], axis=-1) / _SQRT2
+
 
 class _MatrixFactor(_Factor):
     """Self-adjoint k x k matrices over the scalar field `field` (float or
@@ -200,14 +211,24 @@ class _MatrixFactor(_Factor):
         q = dec[1]
         return self.from_dense(np.einsum("...ij,...kj->...jik", q, q.conj()))  # (..., rank, k, k)
 
-    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        k = self.size
-        g = rng.standard_normal((k, k))
+    def _haar(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+        """Haar-random unitaries of the field, shape shape + (k, k): QR of
+        a Gaussian matrix with the phases of R's diagonal moved into Q
+        (Mezzadri 2007); batched or not, each matrix is drawn the same way."""
+        shape = shape + (self.size, self.size)
+        g = rng.standard_normal(shape)
         if self.field is complex:
-            g = g + 1j * rng.standard_normal((k, k))
+            g = g + 1j * rng.standard_normal(shape)
         q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        return self.frame((None, q * (d / np.abs(d))))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (d / np.abs(d))[..., None, :]
+
+    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
+        return self.frame((None, self._haar(rng, ())))
+
+    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
+        v = self._haar(rng, (len(cols),))[np.arange(len(cols)), :, cols]  # column cols[i] of matrix i
+        return self.from_dense(v[:, :, None] * v.conj()[:, None, :])
 
 
 class SymMatrix(_MatrixFactor):
@@ -359,6 +380,19 @@ class Algebra:
         out = np.zeros((self.rank, self.dim))
         for f, sl, rsl in zip(self.factors, self.slices, self.rank_slices):
             out[rsl, sl] = f.random_frame(rng)
+        return out
+
+    def random_idempotents(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count primitive idempotents, shape (count, dim): each is row j of
+        its own random Jordan frame, j uniform over the rank, with only
+        that row built. Draw order: the count j's, then each factor's
+        frame draws for the rows that fall in it, factor by factor."""
+        picks = rng.integers(self.rank, size=count)
+        out = np.zeros((count, self.dim))
+        for f, sl, rsl in zip(self.factors, self.slices, self.rank_slices):
+            at = np.flatnonzero((picks >= rsl.start) & (picks < rsl.stop))
+            if at.size:
+                out[at, sl] = f.random_idempotents(rng, picks[at] - rsl.start)
         return out
 
 

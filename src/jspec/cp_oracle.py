@@ -7,12 +7,14 @@ with ||x + iy||_p = 1. The closed form (cp_constant) is sqrt(2) on
 coordinate ascent and never consults the closed form, so the two routes
 stay independent.
 
-The fuzz checks draw their whole sample first, in a fixed order, then
-check it in row blocks of at most _BLOCK_FLOATS floats, so their
-temporaries do not grow with the trial count. suites.py draws and checks
-its bulk trials in the same blocks. Every check is row by row and the
-worst case is the first maximum, as np.argmax over all rows would pick,
-so results do not depend on the block size.
+The fuzz checks work in row blocks of at most _BLOCK_FLOATS floats, so
+their temporaries do not grow with the trial count: the two-point checks
+draw each block's pairs from streams that continue across blocks, and
+aggregate_split_check draws its whole sample first, in a fixed order.
+suites.py draws and checks its bulk trials in the same blocks. Every
+check is row by row and the worst case is the first maximum, as
+np.argmax over all rows would pick, so results do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ import numpy as np
 
 from .exponents import ExponentLike, ExtExponent, vector_pnorm
 
-_BLOCK_FLOATS = 1 << 16  # floats per row block of a bulk check
+# floats per row block of a bulk check, 128 KB per float array. Larger
+# blocks cost page faults: at 2^16 the allocator unmapped the bulk
+# suites' 512 KB block temporaries between blocks, about 25,000 more
+# minor faults per bulk-fuzz pass (glibc, NumPy 2.4)
+_BLOCK_FLOATS = 1 << 14
 # cp_bruteforce's first step, the step below which a start is spent, and its sweep cap
 _STEP_INIT, _STEP_MIN, _MAX_SWEEPS = 0.5, 1e-9, 2000
 
@@ -123,41 +129,45 @@ class InequalityResult:
         return self.max_violation <= 1e-12
 
 
-def _sample_pairs(rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_blocks(seed: int, trials: int):
     """Complex pairs with heavy-tailed scales plus structured corners
-    (equal, opposite, real, imaginary pairs). Draw order: the scales,
-    then the real and imaginary parts of z, then those of w, each over
-    all trials."""
+    (equal, opposite, real, imaginary pairs in rows [0, m), [m, 2m),
+    [2m, 3m) and [3m, 4m), m = trials // 5), yielded one row block at a
+    time as (z, w). Six streams spawned from the seed give the scales of
+    z and w and the real and imaginary parts of z and w; each block takes
+    its rows from every stream, so the pairs do not depend on the block
+    size and nothing of length trials is kept."""
     m = trials // 5
-    scale = np.exp(rng.normal(0.0, 2.0, trials))
-    z = np.empty(trials, dtype=complex)
-    w = np.empty(trials, dtype=complex)
-    for part in (z.real, z.imag, w.real, w.imag):
-        for lo, hi in _row_blocks(trials, 1):
-            part[lo:hi] = rng.standard_normal(hi - lo)
-    z *= scale
-    w *= scale[::-1]
-    w[:m] = z[:m]
-    w[m:2 * m] = -z[m:2 * m]
-    z[2 * m:3 * m] = z[2 * m:3 * m].real
-    w[2 * m:3 * m] = w[2 * m:3 * m].real
-    z[3 * m:4 * m] = 1j * z[3 * m:4 * m].imag
-    return z, w
+    scale_z, scale_w, z_re, z_im, w_re, w_im = np.random.default_rng(seed).spawn(6)
+    for lo, hi in _row_blocks(trials, 4):
+        n = hi - lo
+        z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        for v, scale, re, im in ((z, scale_z, z_re, z_im), (w, scale_w, w_re, w_im)):
+            v.real, v.imag = re.standard_normal(n), im.standard_normal(n)
+            v *= np.exp(scale.normal(0.0, 2.0, n))
+        equal, opposite, real, imag = (slice(min(max(k * m - lo, 0), n), min(max((k + 1) * m - lo, 0), n))
+                                       for k in range(4))
+        w[equal] = z[equal]
+        w[opposite] = -z[opposite]
+        z[real] = z[real].real
+        w[real] = w[real].real
+        z[imag] = 1j * z[imag].imag
+        yield z, w
+        del z, w  # not held while the next block is drawn
 
 
 def _fuzz_pairs(name: str, p: float, trials: int, seed: int, violation) -> InequalityResult:
-    """Sample pairs, evaluate violation(z, w) on each row block, and keep
-    the first worst pair."""
+    """Evaluate violation(z, w) on each row block of pairs and keep the
+    first worst pair."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    z, w = _sample_pairs(np.random.default_rng(seed), trials)
     worst = None
-    for lo, hi in _row_blocks(trials, 4):
-        zb, wb = z[lo:hi], w[lo:hi]
+    for zb, wb in _pair_blocks(seed, trials):
         viol = violation(zb, wb)
         k = int(np.argmax(viol))
         if worst is None or viol[k] > worst["violation"]:
             worst = {"z": [zb[k].real, zb[k].imag], "w": [wb[k].real, wb[k].imag], "violation": float(viol[k])}
+        del zb, wb, viol  # not held while the next block is drawn
     return InequalityResult(name, p, trials, worst["violation"], worst)
 
 

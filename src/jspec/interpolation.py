@@ -201,7 +201,9 @@ def _interp_report(
 ) -> BoundReport:
     """Shared check core: tests case on t. Estimates the three norms of
     case.norms with matched seeds, so degenerate instances (equal
-    exponent pairs, theta at an endpoint) cancel exactly; near-violations
+    exponent pairs, theta at an endpoint) cancel exactly: equal endpoint
+    norms give the right side constant * M0 with no powers, and at theta 0
+    or 1 the powers are exact; near-violations
     trigger one re-estimation pass at 4x restarts with a shifted seed,
     keeping the max (still a valid lower bound for each norm). first
     holds the first pass's lower bounds for case.norms, estimated with
@@ -212,6 +214,10 @@ def _interp_report(
     seeds = {"estimator": cfg.seed, "rerun": None}
 
     def rhs_of(m0v, m1v):
+        # equal endpoint norms give constant * m0 exactly; the powers
+        # m0^(1-theta) m0^theta can round away from m0
+        if m0v == m1v:
+            return case.constant * m0v
         return case.constant * m0v ** (1.0 - case.theta) * m1v ** case.theta
 
     rhs = rhs_of(m0, m1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -182,39 +182,60 @@ def _peak_spectrum(lam: np.ndarray, p: ExtExponent):
     return lam_new, ok
 
 
-def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray):
-    """Batched dual-norm maximizer over rows x of shape (rows, dim), where
-    row i uses exponent p = exps[which[i]].
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D integer array. np.unique does
+    the same, but its first call maps about 1.3 MB more of NumPy into the
+    process (ru_maxrss, NumPy 2.4)."""
+    s = np.sort(keys)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
-    For each row c returns d with ||d||_p = 1 and <c, d> = ||c||_q (q
+
+def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src: np.ndarray | None = None):
+    """Batched dual-norm maximizer: output i peaks the row c = x[src[i]]
+    of x (shape (rows, dim)) at p = exps[which[i]]; src None means
+    src[i] = i.
+
+    For each output returns d with ||d||_p = 1 and <c, d> = ||c||_q (q
     conjugate to p), built in c's Jordan frame. Second return value flags
     nonzero rows; zero rows yield zero output. The chart is orthonormal
     for the trace form, so ||c||_2 is the Euclidean norm of c's
-    coordinates and the p = 2 peak is c / ||c||_2; those rows need no
+    coordinates and the p = 2 peak is c / ||c||_2; those outputs need no
     decomposition, and a row with ||c||_2 <= _ZERO_EIG is zero. All other
-    rows are decomposed and rebuilt in blocks of at most _PEAK_FLOATS
-    floats, which bounds the decomposition's temporaries (each row's
-    result does not depend on its block), and the spectral map runs once
-    per distinct exponent in each block. estimate_many's one ascent step
-    calls it once per half-step, after that half-step's one matmul.
+    outputs are taken in blocks of at most _PEAK_FLOATS floats of outputs
+    x dim, which bounds the decomposition's temporaries (each output does
+    not depend on its block). In a block, each distinct source row is
+    decomposed once, the spectral map runs once per distinct exponent,
+    and every output is rebuilt; so a row whose outputs are neighbours, as
+    when src is in row order, is decomposed once (twice where they
+    straddle two blocks).
+    estimate_many's ascent calls it once per half-step, after that
+    half-step's one matmul, with src in row order: in the first iteration
+    several problems' outputs share a row, later each row is its own
+    source.
     """
-    d, ok = np.empty_like(x), np.empty(len(x), dtype=bool)
+    src = np.arange(len(which)) if src is None else src
+    d, ok = np.empty((len(src), alg.dim)), np.empty(len(src), dtype=bool)
     two = np.array([p.value == 2.0 for p in exps])[which]
     if two.any():
-        nrm = np.linalg.norm(x[two], axis=-1)
+        c = x[src[two]]
+        nrm = np.linalg.norm(c, axis=-1)
         ok[two] = nrm > _ZERO_EIG
-        d[two] = x[two] / np.where(ok[two], nrm, np.inf)[:, None]
+        d[two] = c / np.where(ok[two], nrm, np.inf)[:, None]
     rest = np.flatnonzero(~two)
     step = max(1, _PEAK_FLOATS // alg.dim)
     for lo in range(0, len(rest), step):
         sel = rest[lo:lo + step]
-        w = which[sel]
-        lam, decs = alg.decomp(x[sel])
+        s, w = src[sel], which[sel]
+        rows = _distinct(s)
+        lam, decs = alg.decomp(x[rows])
+        if len(rows) < len(s):
+            at = np.searchsorted(rows, s)
+            lam, decs = lam[at], [(dec[0][at], None if dec[1] is None else dec[1][at]) for dec in decs]
         lam_new, ok_sel = np.empty_like(lam), np.empty(len(sel), dtype=bool)
         for k, p in enumerate(exps):
-            at = w == k
-            if at.any():
-                lam_new[at], ok_sel[at] = _peak_spectrum(lam[at], p)
+            hit = w == k
+            if hit.any():
+                lam_new[hit], ok_sel[hit] = _peak_spectrum(lam[hit], p)
         d[sel], ok[sel] = alg.rebuild(decs, lam_new), ok_sel
         del decs, lam, lam_new  # not held through the next block
     return d, ok
@@ -279,24 +300,22 @@ class NormEstimate:
 
 def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, float]:
     """Start rows before normalization: the unit, the top right singular
-    vector, frame idempotents, then Gaussians; restart k draws from its
-    own generator (cfg.seed, k). Also returns sigma_max(mat), from the
-    same SVD."""
-    rows = np.empty((cfg.restarts, alg.dim))
+    vector, primitive idempotents of random frames, then Gaussians; all
+    draws come from one generator default_rng(cfg.seed), the frames in one
+    Algebra.random_idempotents call (one batched QR per matrix factor)
+    and the Gaussian rows in one call after them. The rows depend only on
+    the algebra, mat, cfg.seed and cfg.restarts. Also returns
+    sigma_max(mat), from the same SVD."""
+    rng = np.random.default_rng(cfg.seed)
     n_sparse = min(cfg.restarts, 2 + cfg.restarts // 4)
     _, sv, vt = np.linalg.svd(mat)
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, k))
-        if k == 0:
-            rows[k] = alg.unit_coords()
-        elif k == 1:
-            rows[k] = vt[0]
-        elif k < n_sparse:
-            frame = alg.random_frame(rng)
-            rows[k] = frame[rng.integers(alg.rank)]
-        else:
-            rows[k] = rng.standard_normal(alg.dim)
-    return rows, float(sv[0])
+    rows = np.concatenate([
+        alg.unit_coords()[None],
+        vt[:1],
+        alg.random_idempotents(rng, max(0, n_sparse - 2)),
+        rng.standard_normal((cfg.restarts - n_sparse, alg.dim)),
+    ])
+    return rows[:cfg.restarts], float(sv[0])
 
 
 def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
@@ -315,9 +334,17 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     matmul over the whole stack, then decompositions and rebuilds (in
     _peak_stack's row blocks) that cover only the restarts that have not
     stalled and whose exponent is not 2 (the p = 2 peak is c / ||c||_2).
-    A restart stalls after two half-steps in a row that raise its
-    objective by at most tol * max(1, |objective|); the first half-step,
-    which rises from -inf, never counts. With n = alg.rank,
+    The first iteration is shared. Problems on one map with one seed have
+    the same start rows up to each row's ||.||_r, and a peak does not
+    depend on its row's scale, so the first a -> b half-step maps and
+    decomposes their unnormalized start rows once, rebuilds once per s',
+    and each problem reads its value as <T row, peak> / ||row||_r. That
+    leaves equal b rows to the problems with one map, seed and s', so the
+    b -> a half-step maps and decomposes T* b once for them and rebuilds
+    per r. Later half-steps map each problem's own rows. A restart stalls
+    after two half-steps in a row that raise its objective by at most
+    tol * max(1, |objective|); the first half-step, which rises from
+    -inf, never counts. With n = alg.rank,
     ||a||_2 <= n^max(0, 1/2 - 1/r) ||a||_r and ||b||_s <=
     n^max(0, 1/s - 1/2) ||b||_2, so ||T||_{r->s} <= upper = sigma_max(T)
     n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), which is tight for r <= 2
@@ -326,12 +353,13 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     reaches upper - tol * max(1, upper) (certified), once its best value
     has risen by at most tol * max(1, |best|) in each of _PATIENCE full
     iterations in a row, or at max_iters; the first rule that holds
-    names the stop. Restart k of a problem draws its own generator from
-    (cfg.seed, k) and every stop rule reads only the problem's own map,
-    exponents and rows, so each result equals the one the problem gets
-    alone. Returns one estimate per problem, in order; each is a valid
-    lower bound, converged means its best restart stalled, and stop
-    names the rule that ended it.
+    names the stop. A problem's start rows (see _starts) depend only on
+    its map, cfg.seed and cfg.restarts, every value it reads comes from
+    those rows by the same arithmetic whoever shares them, and every stop
+    rule reads only the problem's own map, exponents and rows, so each
+    result equals the one the problem gets alone. Returns one estimate
+    per problem, in order; each is a valid lower bound, converged means
+    its best restart stalled, and stop names the rule that ended it.
     """
     probs = [
         (t, ExtExponent.coerce(r), ExtExponent.coerce(s), cfg or EstimatorConfig())
@@ -398,39 +426,63 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
     r_k = np.array([exps.index(probs[i][1]) for i in live])
     sp_k = np.array([exps.index(probs[i][2].conjugate) for i in live])
     mk = np.array([probs[i][0] for i in live])  # each problem's map
-    a_rows = np.empty((len(live), cfg.restarts, alg.dim))
+    # problems on one map with one seed share their start rows: groups maps
+    # (seed, map) to a start group, member each problem to its group
+    groups: dict = {}
+    member = np.array([groups.setdefault((probs[i][3].seed, probs[i][0]), len(groups)) for i in live])
+    drawn = [_starts(alg, maps[m], replace(cfg, seed=seed)) for seed, m in groups]
+    starts = np.stack([rows for rows, _ in drawn])
+    lam = alg.eigenvalues(starts)
+    norm = np.empty((len(live), cfg.restarts))  # each start row's ||.||_r
     cert = np.empty(len(live))  # a best value at or above this is certified
-    starts: dict = {}  # problems on one map with one seed share their draws
     for j, i in enumerate(live):
-        m, rex, sex, c = probs[i]
-        if (c.seed, m) not in starts:
-            rows, sigma = _starts(alg, maps[m], c)
-            starts[c.seed, m] = rows, alg.eigenvalues(rows), sigma
-        rows, lam, sigma = starts[c.seed, m]
-        a_rows[j] = rows / vector_pnorm(lam, rex)[:, None]
+        _, rex, sex, _ = probs[i]
+        norm[j] = vector_pnorm(lam[member[j]], rex)
+        sigma = drawn[member[j]][1]
         upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
         cert[j] = upper - cfg.tol * max(1.0, upper)
-    del starts, rows, lam
+    a_rows = starts[member] / norm[..., None]
+    del lam, drawn
     b_rows = np.repeat(units[sp_k][:, None, :], cfg.restarts, axis=1)
     values = np.full((len(live), cfg.restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
     best = np.full(len(live), -np.inf)
     flat = np.zeros(len(live), dtype=int)  # full iterations without a rise of best
+    # what the next half-step maps: (row sets, their maps, each problem's
+    # row set, each row's divisor or None). The first maps each group's
+    # unnormalized starts once, and a problem's value is <T row, peak> /
+    # ||row||_r, since the peak does not depend on the row's scale; after
+    # it, the problems of one group and one s' hold equal b rows, so the
+    # next maps those once too; from then on each problem maps its own rows
+    shared = (starts, np.array([m for _, m in groups]), member, norm)
+    del starts
 
     for it in range(cfg.max_iters):
         # a -> b peaks T a in the s' ball; b -> a peaks T* b in the r ball
         for src, adj, dst, which in ((a_rows, True, b_rows, sp_k), (b_rows, False, a_rows, r_k)):
+            rows, rmap, member, scale = shared or (src, mk, None, None)
             # only restarts that have not stalled take the step; a zero
-            # peak falls back to the unit. The per-problem matrices are
+            # peak falls back to the unit. The row sets' matrices are
             # gathered for the matmul alone, so the stack holds one per map
             idx = np.nonzero(stall < 2)
-            mats = maps[mk]
-            tx = np.matmul(src, mats.transpose(0, 2, 1) if adj else mats)[idx]
+            mats = maps[rmap]
+            tx = np.matmul(rows, mats.transpose(0, 2, 1) if adj else mats).reshape(-1, alg.dim)
             del mats
-            w = which[idx[0]]
-            cand, ok = _peak_stack(alg, tx, exps, w)
+            # one peak per distinct (row, exponent) among the live restarts,
+            # in row order; at maps each restart to its peak
+            if member is None:
+                out_row, w, at = idx[0] * cfg.restarts + idx[1], which[idx[0]], slice(None)
+            else:
+                key = (member[idx[0]] * cfg.restarts + idx[1]) * len(exps) + which[idx[0]]
+                outs = _distinct(key)
+                at = np.searchsorted(outs, key)
+                out_row, w = np.divmod(outs, len(exps))
+            cand, ok = _peak_stack(alg, tx, exps, w, out_row)
             cand[~ok] = units[w[~ok]]
-            vals = np.einsum("ij,ij->i", tx, cand)
+            vals = np.einsum("ij,ij->i", tx[out_row], cand)[at]
+            if scale is not None:
+                vals /= scale[idx]
+            cand = cand[at]
             old = values[idx]
             up = vals > old
             # the first half-step rises from -inf and is never small
@@ -439,6 +491,17 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
             values[idx] = np.where(up, vals, old)
             stall[idx] = np.where(small, stall[idx] + 1, 0)
             del tx, cand, vals, old  # not held through the next half-step
+            shared = None
+            if member is not None and up.all() and up.size == values.size:
+                # every restart rose, so the problems of one row set and one
+                # exponent now hold equal dst rows, and any of them (rep)
+                # stands for all
+                key = member * len(exps) + which
+                pairs = _distinct(key)
+                if len(pairs) < len(key):
+                    member, rep = np.searchsorted(pairs, key), np.empty(len(pairs), dtype=int)
+                    rep[member] = np.arange(len(key))
+                    shared = (dst[rep], mk[rep], member, None)
         new_best = values.max(axis=1)
         risen = new_best - best > _rise_tol(cfg.tol, best)
         flat = np.where(np.isfinite(best) & ~risen, flat + 1, 0)

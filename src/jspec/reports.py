@@ -20,7 +20,7 @@ from typing import get_type_hints
 from .errors import ReportError
 from .exponents import ExtExponent
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 REPLAY_TOL = 1e-12  # a replayed margin may differ by this much, relative to max(1, |margin|)
 
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
@@ -167,7 +167,7 @@ class SuiteReport:
         if d["schema"] != SCHEMA_VERSION:
             raise ReportError(
                 f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}; "
-                "it was written by an older estimator, so re-run its campaign"
+                "it was written by an older estimator or sampler, so re-run its campaign"
             )
         rep = cls(**d)
         if rep.compute_checksum() != d["checksum"]:

@@ -161,6 +161,18 @@ class TestSpectral:
         for c in frame:
             assert np.allclose(algebra.jordan(c, c), c, atol=1e-12)
 
+    def test_random_idempotents_are_primitive(self, algebra, rng):
+        rows = algebra.random_idempotents(rng, 40)
+        assert rows.shape == (40, algebra.dim)
+        assert np.allclose(algebra.jordan(rows, rows), rows, atol=1e-12)
+        assert np.allclose(algebra.trace(rows), 1.0, atol=1e-12)
+        # each lives in one factor: its eigenvalues are one 1 and zeros
+        lam = np.sort(algebra.eigenvalues(rows), axis=-1)
+        want = np.zeros(algebra.rank)
+        want[-1] = 1.0
+        assert np.allclose(lam, want, atol=1e-12)
+        assert algebra.random_idempotents(rng, 0).shape == (0, algebra.dim)
+
     def test_spin_eigenvalues_analytic(self):
         alg = parse_algebra("spin:3")
         # natural (x0, xbar) = (1, (3, 4)), chart = sqrt(2) * natural

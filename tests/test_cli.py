@@ -236,6 +236,20 @@ class TestReplay:
         assert "schema mismatch" in err
         assert "older estimator" in err and "re-run" in err
 
+    def test_replay_schema_2_report_exit_two(self, tmp_path, capsys):
+        # schema 2 reports come from the estimator whose restarts each drew
+        # their own generator and whose first iteration was not shared, and
+        # from the clarkson sampler that kept its whole sample
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["schema"] = "2"
+        self._reseal(out, data)
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "schema mismatch" in err and "'2'" in err
+        assert "older estimator" in err and "re-run" in err
+
     @pytest.mark.parametrize("edit", ["witness", "wall_time"])
     def test_replay_non_finite_number_exit_two(self, tmp_path, capsys, edit):
         # JSON has no NaN or Infinity, so a file holding one is no report

@@ -2,6 +2,7 @@
 two-point / aggregate inequality fuzzers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ class TestTwoPointInequalities:
     def test_worst_pair_recorded(self):
         res = clarkson_check(3, trials=500, seed=4)
         assert set(res.worst) >= {"z", "w"}
+
+    @pytest.mark.parametrize("check,p", [(clarkson_check, 3), (refined_clarkson_check, 1.5)])
+    def test_peak_memory_does_not_grow_with_trials(self, check, p):
+        # 2^14 and 2^17 trials span 4 and 32 default row blocks; a sample
+        # kept whole would add about 40 B per trial (4.5 MB here)
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                check(p, trials=trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2**14)
+        assert peak(2**17) - peak(2**14) < 64 * 1024
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -225,6 +225,13 @@ class TestTheoremChecks:
         rep = check_theorem1(random_map(SYM3, 27), 2.5, 2.5, 0.37, CFG)
         assert rep.margin == 0.0
 
+    def test_theorem1_equal_exponents_exact_over_seeds(self):
+        # m^(1-theta) m^theta rounds away from m for about a quarter of
+        # these maps; equal endpoint norms must still cancel exactly
+        for seed in range(40):
+            rep = check_theorem1(random_map(SYM3, seed), 2.5, 2.5, 0.37, CFG)
+            assert rep.margin == 0.0, seed
+
     def test_theorem2_no_violations(self):
         pair = ExponentPair.of(1, 3, 2, "inf")
         for seed in range(5):

@@ -42,6 +42,7 @@ from jspec import (
 )
 from jspec import linmaps
 from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
+from jspec.reports import DEFAULT_GRID
 from oracles import sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
@@ -416,6 +417,33 @@ class TestEstimateMany:
         stack_rows = sum(2 * FAST.restarts * est.iterations for est in ests)
         assert 0 < sum(decomp_rows) < stack_rows
 
+    def test_first_iteration_shares_rows(self, decomp_rows):
+        # the 36 default-grid problems on one map with one seed: a -> b
+        # decomposes the R start rows once (not once per s' != 2 problem),
+        # b -> a the R rows of each of the 6 s' once (not once per r != 2
+        # problem); one problem at a time takes 30R + 30R
+        alg, r_count = parse_algebra("sym:3"), 16
+        cfg = EstimatorConfig(restarts=r_count, max_iters=1, seed=5)
+        t = random_map(alg, 95)
+        estimate_many([(t, r, s, cfg) for r in DEFAULT_GRID for s in DEFAULT_GRID])
+        assert sum(decomp_rows) == r_count + 6 * r_count
+
+    @pytest.mark.parametrize("floats", [1, 50])
+    def test_results_do_not_depend_on_peak_blocks(self, monkeypatch, floats):
+        # 1 float: one output per block, so shared rows are decomposed once
+        # per output; 50 floats: 8 outputs per block on sym:3, so shared
+        # rows straddle blocks
+        alg = parse_algebra("sym:3")
+        cfgs = [replace(FAST, restarts=6, max_iters=8, seed=seed) for seed in (0, 1)]
+        maps = [random_map(alg, 96), lyapunov(random_element(alg, 97))]
+        problems = [(t, r, s, c) for t in maps for c in cfgs for r in (1, 2, 3) for s in (1.5, 2, "inf")]
+        want = estimate_many(problems)
+        monkeypatch.setattr(linmaps, "_PEAK_FLOATS", floats)
+        for got, ref in zip(estimate_many(problems), want):
+            assert (got.lower_bound, got.iterations, got.stop) == (ref.lower_bound, ref.iterations, ref.stop)
+            assert np.array_equal(got.witness_a.coords, ref.witness_a.coords)
+            assert np.array_equal(got.witness_b.coords, ref.witness_b.coords)
+
     @pytest.mark.parametrize("field,value", [("restarts", 8), ("max_iters", 7), ("tol", 1e-6)])
     def test_mismatched_settings_rejected(self, field, value):
         t = random_map(parse_algebra("sym:2"), 73)
@@ -428,6 +456,53 @@ class TestEstimateMany:
         t3 = random_map(parse_algebra("spin:3"), 75)
         with pytest.raises(AlgebraMismatchError):
             estimate_many([(t2, 2, 2, FAST), (t3, 2, 2, FAST)])
+
+
+class TestStarts:
+    def test_start_invariants(self, algebra):
+        t = random_map(algebra, 98)
+        cfg = replace(FAST, restarts=32, seed=3)
+        rows, sigma = _starts(algebra, t.matrix, cfg)
+        _, sv, vt = np.linalg.svd(t.matrix)
+        n_sparse = 2 + cfg.restarts // 4
+        assert rows.shape == (cfg.restarts, algebra.dim)
+        assert np.array_equal(rows[0], algebra.unit_coords())
+        assert np.array_equal(rows[1], vt[0]) and sigma == sv[0]
+        frames = rows[2:n_sparse]
+        assert np.allclose(algebra.jordan(frames, frames), frames, atol=1e-12)
+        assert np.allclose(algebra.trace(frames), 1.0, atol=1e-12)
+        assert np.isfinite(rows[n_sparse:]).all()
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_few_restarts(self, restarts):
+        alg = parse_algebra("herm:2")
+        t = random_map(alg, 99)
+        rows, _ = _starts(alg, t.matrix, replace(FAST, restarts=restarts))
+        assert rows.shape == (restarts, alg.dim)
+        assert np.array_equal(rows[0], alg.unit_coords())
+
+    def test_starts_depend_on_map_and_seed_alone(self, monkeypatch, algebra):
+        # the rows a problem starts from are the same alone and in a batch
+        # of other maps, seeds and exponents
+        drawn = []
+
+        def spy(alg, mat, cfg):
+            rows, sigma = _starts(alg, mat, cfg)
+            drawn.append(((mat.tobytes(), cfg.seed), rows, sigma))
+            return rows, sigma
+
+        monkeypatch.setattr(linmaps, "_starts", spy)
+        t, u = random_map(algebra, 100), random_map(algebra, 101)
+        cfg = replace(FAST, restarts=12, max_iters=2)
+        problems = [(t, 1, 3, cfg), (u, 2, "inf", cfg), (t, 3, 1.5, replace(cfg, seed=4)), (u, 1, 1, cfg)]
+        estimate_many(problems)
+        batch = {key: (rows, sigma) for key, rows, sigma in drawn}
+        assert len(drawn) == len(batch) == 3  # one draw per map and seed
+        for prob in problems:
+            drawn.clear()
+            op_norm_estimate(*prob)
+            (key, rows, sigma), = drawn
+            assert np.array_equal(rows, batch[key][0]) and sigma == batch[key][1]
 
 
 STOPS = ["zero-map", "stalled", "patience", "max_iters", "certified"]

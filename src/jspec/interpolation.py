@@ -2,6 +2,10 @@
 checks, and a numerical walk-through of the underlying three-lines
 argument.
 
+The walk-through works on chart arrays: the analytic family's values
+are complex chart-coordinate rows, built from each operand's
+eigenvalues and Jordan frame rows.
+
 Claim catalog (project numbering, used across reports and the CLI):
   claim 1   ||T||_{p->p} <= ||T||_{p0->p0}^(1-theta) ||T||_{p1->p1}^theta
             with 1/p = (1-theta)/p0 + theta/p1 (constant 1).
@@ -29,15 +33,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra
-from .elements import (
-    Element,
-    inner_product,
-    is_invertible,
-    p_norm,
-    spectral_decomposition,
-)
-from .errors import DegenerateInputError, NonFiniteInputError, UnsupportedCaseError
+from .elements import Element, inner_product, is_invertible, p_norm
+from .errors import DegenerateInputError, UnsupportedCaseError
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
 from .linmaps import (
     _SQRT8,
@@ -50,61 +47,6 @@ from .reports import exponent_to_json
 
 # relative slack separating numerical noise from a real counterexample
 VIOLATION_RTOL = 1e-8
-
-
-# -- complexified algebra ------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexElement:
-    """Element of the complexified algebra, stored as complex chart
-    coordinates. The p-norm is ||re||_p + ||im||_p; the inner product is
-    the sesquilinear extension of the trace inner product."""
-
-    algebra: Algebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=complex)
-        if c.shape != (self.algebra.dim,):
-            raise ValueError(f"coords must have shape ({self.algebra.dim},)")
-        if not np.isfinite(c).all():
-            raise NonFiniteInputError("complex element coords must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def real(self) -> Element:
-        return Element(self.algebra, self.coords.real)
-
-    @property
-    def imag(self) -> Element:
-        return Element(self.algebra, self.coords.imag)
-
-    def __add__(self, other: "ComplexElement") -> "ComplexElement":
-        return ComplexElement(self.algebra, self.coords + other.coords)
-
-    def __mul__(self, z: complex) -> "ComplexElement":
-        return ComplexElement(self.algebra, self.coords * z)
-
-    __rmul__ = __mul__
-
-
-def combine(re: Element, im: Element) -> ComplexElement:
-    if re.algebra != im.algebra:
-        raise DegenerateInputError("real and imaginary parts live on different algebras")
-    return ComplexElement(re.algebra, re.coords + 1j * im.coords)
-
-
-def complex_p_norm(u: ComplexElement, p: ExponentLike) -> float:
-    return p_norm(u.real, p) + p_norm(u.imag, p)
-
-
-def complex_inner(u: ComplexElement, v: ComplexElement) -> complex:
-    """<a+ib, c+id> = [<a,c>+<b,d>] + i [<b,c>-<a,d>]; conjugate-linear
-    in the second slot."""
-    return complex(np.vdot(v.coords, u.coords))
 
 
 # -- exponent pairs and constants ---------------------------------------
@@ -368,6 +310,15 @@ def _family_weights(lam: np.ndarray, expo: np.ndarray) -> np.ndarray:
     return np.exp(np.log(np.abs(lam))[None, :] * expo[:, None])
 
 
+def _spectrum(v: Element) -> tuple[np.ndarray, np.ndarray]:
+    """v's eigenvalues and its Jordan frame as chart rows, shape (rank,)
+    and (rank, dim), in spectral_decomposition's stable decreasing order.
+    The order fixes the summation order of the family's coordinates."""
+    lam, decs = v.algebra.decomp(v.coords)
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], v.algebra.frame_coords(decs)[order]
+
+
 def three_lines_demo(
     t: LinearMap,
     a: Element,
@@ -402,10 +353,7 @@ def three_lines_demo(
         if not is_invertible(v, tol=1e-8 * max(1.0, p_norm(v, "inf"))):
             raise DegenerateInputError(f"three-lines family needs invertible {label}")
 
-    da, db = spectral_decomposition(a), spectral_decomposition(b)
-    lam_a, lam_b = np.asarray(da.eigenvalues), np.asarray(db.eigenvalues)
-    frame_a = np.stack([f.coords for f in da.frame])
-    frame_b = np.stack([f.coords for f in db.frame])
+    (lam_a, frame_a), (lam_b, frame_b) = _spectrum(a), _spectrum(b)
     eps_a = np.where(lam_a >= 0, 1.0, -1.0)
     eps_b = np.where(lam_b >= 0, 1.0, -1.0)
 

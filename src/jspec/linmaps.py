@@ -201,13 +201,13 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src:
     for the trace form, so ||c||_2 is the Euclidean norm of c's
     coordinates and the p = 2 peak is c / ||c||_2; those outputs need no
     decomposition, and a row with ||c||_2 <= _ZERO_EIG is zero. All other
-    outputs are taken in blocks of at most _PEAK_FLOATS floats of outputs
-    x dim, which bounds the decomposition's temporaries (each output does
-    not depend on its block). In a block, each distinct source row is
-    decomposed once, the spectral map runs once per distinct exponent,
-    and every output is rebuilt; so a row whose outputs are neighbours, as
-    when src is in row order, is decomposed once (twice where they
-    straddle two blocks).
+    outputs are taken in blocks of _PEAK_FLOATS floats of outputs x dim,
+    each extended to the end of the run of neighbouring outputs that share
+    its last source row; this bounds the decomposition's temporaries (each
+    output does not depend on its block). In a block, each distinct source
+    row is decomposed once, the spectral map runs once per distinct
+    exponent, and every output is rebuilt; so a row whose outputs are
+    neighbours, as when src is in row order, is decomposed once per call.
     estimate_many's ascent calls it once per half-step, after that
     half-step's one matmul, with src in row order: in the first iteration
     several problems' outputs share a row, later each row is its own
@@ -223,8 +223,12 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src:
         d[two] = c / np.where(ok[two], nrm, np.inf)[:, None]
     rest = np.flatnonzero(~two)
     step = max(1, _PEAK_FLOATS // alg.dim)
-    for lo in range(0, len(rest), step):
-        sel = rest[lo:lo + step]
+    lo = 0
+    while lo < len(rest):
+        hi = lo + step  # extended to the end of its last source row's outputs
+        while hi < len(rest) and src[rest[hi]] == src[rest[hi - 1]]:
+            hi += 1
+        sel, lo = rest[lo:hi], hi
         s, w = src[sel], which[sel]
         rows = _distinct(s)
         lam, decs = alg.decomp(x[rows])

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ReportError
+from .errors import NonFiniteInputError, ReportError
 from .exponents import ExtExponent
+from .linmaps import EstimatorConfig
 
 SCHEMA_VERSION = "3"
 REPLAY_TOL = 1e-12  # a replayed margin may differ by this much, relative to max(1, |margin|)
@@ -60,15 +61,15 @@ class CampaignConfig:
 
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
-        for name in ("trials", "restarts", "max_iters", "starts"):
+        for name in ("trials", "starts"):
             if getattr(self, name) < 1:
                 raise ReportError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n < 2:
             raise ReportError(f"n must be >= 2, got {self.n}")
-        if self.seed < 0:
-            raise ReportError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ReportError(f"tol must be finite and >= 0, got {self.tol}")
+        try:  # the estimator settings obey EstimatorConfig's rules
+            EstimatorConfig(restarts=self.restarts, max_iters=self.max_iters, tol=self.tol, seed=self.seed)
+        except (TypeError, ValueError, NonFiniteInputError) as exc:
+            raise ReportError(str(exc)) from None
         try:
             grid = tuple(ExtExponent.coerce(p).value for p in self.grid)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -1,5 +1,4 @@
-"""Interpolation bounds, the complexified layer, and the three-lines
-walk-through."""
+"""Interpolation bounds and the three-lines walk-through."""
 
 import math
 
@@ -8,7 +7,6 @@ import pytest
 
 from jspec import (
     BoundReport,
-    ComplexElement,
     DegenerateInputError,
     Element,
     EstimatorConfig,
@@ -18,13 +16,9 @@ from jspec import (
     check_corollary4,
     check_theorem1,
     check_theorem2,
-    combine,
-    complex_inner,
-    complex_p_norm,
     conjugate,
     cp_constant,
     estimate_many,
-    inner_product,
     interpolate,
     interpolation,
     lyapunov,
@@ -33,68 +27,15 @@ from jspec import (
     parse_algebra,
     random_element,
     random_map,
+    spectral_decomposition,
     theorem2_constant,
     theorem2_constant_theta,
     three_lines_demo,
+    unit,
 )
 
 CFG = EstimatorConfig(restarts=16, max_iters=120, tol=1e-11, seed=0)
 SYM3 = parse_algebra("sym:3")
-
-
-class TestComplexLayer:
-    def test_combine_and_parts(self, algebra):
-        a = random_element(algebra, 1)
-        b = random_element(algebra, 2)
-        u = combine(a, b)
-        assert np.allclose(u.real.coords, a.coords)
-        assert np.allclose(u.imag.coords, b.coords)
-
-    def test_combine_mismatch(self):
-        with pytest.raises(DegenerateInputError):
-            combine(random_element(parse_algebra("sym:2"), 0), random_element(SYM3, 0))
-
-    def test_norm_is_sum_of_part_norms(self, algebra):
-        a = random_element(algebra, 3)
-        b = random_element(algebra, 4)
-        u = combine(a, b)
-        for p in (1, 2, math.inf):
-            assert complex_p_norm(u, p) == pytest.approx(p_norm(a, p) + p_norm(b, p), rel=1e-13)
-
-    def test_norm_invariant_under_i(self, algebra):
-        # multiplying by i swaps the parts, so the norm cannot change
-        u = combine(random_element(algebra, 5), random_element(algebra, 6))
-        assert complex_p_norm(1j * u, 2) == pytest.approx(complex_p_norm(u, 2), rel=1e-13)
-
-    def test_inner_matches_hand_formula(self, algebra):
-        a, b = random_element(algebra, 7), random_element(algebra, 8)
-        c, d = random_element(algebra, 9), random_element(algebra, 10)
-        u, v = combine(a, b), combine(c, d)
-        want = complex(
-            inner_product(a, c) + inner_product(b, d),
-            inner_product(b, c) - inner_product(a, d),
-        )
-        assert complex_inner(u, v) == pytest.approx(want, rel=1e-12)
-        # conjugate symmetry and reduction to the real inner product
-        assert complex_inner(v, u) == pytest.approx(want.conjugate(), rel=1e-12)
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
-    def test_holder_pairing_complexified(self, algebra, p):
-        # |<u, v>| <= ||u||_p ||v||_q over random draws
-        q = conjugate(p)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            u = combine(
-                Element(algebra, rng.standard_normal(algebra.dim)),
-                Element(algebra, rng.standard_normal(algebra.dim)),
-            )
-            v = combine(
-                Element(algebra, rng.standard_normal(algebra.dim)),
-                Element(algebra, rng.standard_normal(algebra.dim)),
-            )
-            lhs = abs(complex_inner(u, v))
-            rhs = complex_p_norm(u, p) * complex_p_norm(v, q)
-            assert lhs <= rhs * (1.0 + 1e-9)
 
 
 class TestConstants:
@@ -359,6 +300,45 @@ class TestThreeLines:
         for j, (r, s, cap) in enumerate(ends):
             want = pair.endpoint_factor(j) * op_norm_estimate(t, r, s, CFG).lower_bound
             assert cap == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pair,theta",
+        [((1, 4, 2, 4), 0.5), ((1, 3, 1.5, "inf"), 0.3), (("inf", "inf", 2, 4), 0.6), ((1, 4, 1, 1), 0.45)],
+    )
+    def test_frames_as_arrays_match_decomposition_frames(self, algebra, pair, theta):
+        # reference: the family built from spectral_decomposition's frame
+        # Elements, stacked back into arrays; the demo must match it bit for bit
+        pair = ExponentPair.of(*pair)
+        rt, st = pair.at(theta)
+        grid_points = 41
+        im = np.linspace(-10.0, 10.0, grid_points)
+        z = np.concatenate([1j * im, 1.0 + 1j * im, [complex(theta)]])
+        # exponents of |eigenvalue| along z; None where the family is constant
+        expo_a = ((1 - z) * pair.r0.inv + z * pair.r1.inv) / rt.inv if rt.inv else None
+        expo_b = (1 - ((1 - z) * pair.s0.inv + z * pair.s1.inv)) / (1 - st.inv) if st.inv != 1.0 else None
+
+        def family(v, norm, expo):
+            d = spectral_decomposition(Element(algebra, v.coords / norm))
+            lam, frame = np.asarray(d.eigenvalues), np.stack([f.coords for f in d.frame])
+            if expo is None:
+                w = np.tile(np.abs(lam), (z.size, 1)).astype(complex)
+            else:
+                w = np.exp(np.log(np.abs(lam))[None, :] * expo[:, None])
+            return (np.where(lam >= 0, 1.0, -1.0) * w) @ frame
+
+        t = random_map(algebra, 70)
+        spectrum = np.linspace(0.5, 2.0, algebra.rank) * np.resize([1.0, -1.0], algebra.rank)
+        # the unit has one eigenvalue, so the frame order rests on the stable sort
+        for a, b in ((random_element(algebra, 71, spectrum), random_element(algebra, 72)),
+                     (unit(algebra), random_element(algebra, 73, spectrum))):
+            rep = three_lines_demo(t, a, b, pair, theta, grid_points=grid_points)
+            fa = family(a, p_norm(a, rt), expo_a)
+            fb = family(b, p_norm(b, st.conjugate), expo_b)
+            phi = np.einsum("gk,gk->g", fa @ t.matrix.T, np.conj(fb))
+            assert rep.phi_theta == complex(phi[-1])
+            line0, line1 = np.abs(phi[:grid_points]), np.abs(phi[grid_points:-1])
+            assert np.array_equal(rep.abs_line0, line0) and np.array_equal(rep.abs_line1, line1)
+            assert (rep.sup_line0, rep.sup_line1) == (line0.max(), line1.max())
 
     def test_rejects_noninvertible(self):
         t, a, b = self._instance(61)

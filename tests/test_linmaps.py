@@ -421,18 +421,22 @@ class TestEstimateMany:
         # the 36 default-grid problems on one map with one seed: a -> b
         # decomposes the R start rows once (not once per s' != 2 problem),
         # b -> a the R rows of each of the 6 s' once (not once per r != 2
-        # problem); one problem at a time takes 30R + 30R
-        alg, r_count = parse_algebra("sym:3"), 16
+        # problem); one problem at a time takes 30R + 30R. On herm:6,
+        # sym:10 and rn:64,spin:8 some row's outputs reach past a
+        # _PEAK_FLOATS block bound
+        r_count = 32
         cfg = EstimatorConfig(restarts=r_count, max_iters=1, seed=5)
-        t = random_map(alg, 95)
-        estimate_many([(t, r, s, cfg) for r in DEFAULT_GRID for s in DEFAULT_GRID])
-        assert sum(decomp_rows) == r_count + 6 * r_count
+        for descriptor in ("sym:3", "herm:6", "sym:10", "rn:64,spin:8"):
+            t = random_map(parse_algebra(descriptor), 95)
+            decomp_rows.clear()
+            estimate_many([(t, r, s, cfg) for r in DEFAULT_GRID for s in DEFAULT_GRID])
+            assert sum(decomp_rows) == r_count + 6 * r_count, descriptor
 
     @pytest.mark.parametrize("floats", [1, 50])
     def test_results_do_not_depend_on_peak_blocks(self, monkeypatch, floats):
-        # 1 float: one output per block, so shared rows are decomposed once
-        # per output; 50 floats: 8 outputs per block on sym:3, so shared
-        # rows straddle blocks
+        # 1 float: one output per block, each extended to the end of its
+        # row's outputs; 50 floats: 8 outputs per block on sym:3, extended
+        # where shared rows straddle the bound
         alg = parse_algebra("sym:3")
         cfgs = [replace(FAST, restarts=6, max_iters=8, seed=seed) for seed in (0, 1)]
         maps = [random_map(alg, 96), lyapunov(random_element(alg, 97))]

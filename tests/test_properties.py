@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jspec import (
-    ComplexElement,
     Element,
     LinearMap,
     NonFiniteInputError,
@@ -187,16 +186,6 @@ class TestNonFiniteRejected:
         alg, matrix = case
         with pytest.raises(NonFiniteInputError):
             LinearMap(alg, matrix)
-
-    @given(non_finite_arrays(lambda alg: (alg.dim,)), st.booleans())
-    def test_complex_element(self, case, in_imag):
-        alg, bad = case
-        good = np.ones(alg.dim)
-        re, im = (good, bad) if in_imag else (bad, good)
-        coords = np.empty(alg.dim, dtype=complex)
-        coords.real, coords.imag = re, im
-        with pytest.raises(NonFiniteInputError):
-            ComplexElement(alg, coords)
 
 
 class TestExponentLaws:

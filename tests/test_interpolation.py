@@ -1,4 +1,5 @@
-"""Interpolation bounds and the three-lines walk-through."""
+"""Interpolation bounds, the complexified algebra on chart arrays, and
+the three-lines walk-through."""
 
 import math
 
@@ -18,7 +19,9 @@ from jspec import (
     check_theorem2,
     conjugate,
     cp_constant,
+    eigenvalues,
     estimate_many,
+    inner_product,
     interpolate,
     interpolation,
     lyapunov,
@@ -36,6 +39,79 @@ from jspec import (
 
 CFG = EstimatorConfig(restarts=16, max_iters=120, tol=1e-11, seed=0)
 SYM3 = parse_algebra("sym:3")
+
+
+def _parts(algebra, u):
+    return Element(algebra, u.real), Element(algebra, u.imag)
+
+
+def _complex_norm(algebra, u, p):
+    re, im = _parts(algebra, u)
+    return p_norm(re, p) + p_norm(im, p)
+
+
+def _pairing(u, v):
+    # the pairing three_lines_demo takes between its two families
+    return complex(np.einsum("k,k->", u, np.conj(v)))
+
+
+class TestComplexLayer:
+    """The complexified algebra as three_lines_demo holds it: complex chart
+    rows u = a + ib with Elements a and b as parts, the norm
+    ||a||_p + ||b||_p, and the pairing <u, v> = sum u conj(v), the
+    sesquilinear extension of the trace inner product."""
+
+    @staticmethod
+    def _frame_row(algebra, seed):
+        # a complex row over one Jordan frame, as the family builds it
+        a = random_element(algebra, seed)
+        lam, frame = interpolation._spectrum(a)
+        assert np.allclose(lam @ frame, a.coords, atol=1e-12)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(algebra.rank) + 1j * rng.standard_normal(algebra.rank)
+        return w, w @ frame
+
+    def test_combine_and_parts(self, algebra):
+        w, u = self._frame_row(algebra, 1)
+        re, im = _parts(algebra, u)
+        assert np.allclose(eigenvalues(re), np.sort(w.real)[::-1], atol=1e-10)
+        assert np.allclose(eigenvalues(im), np.sort(w.imag)[::-1], atol=1e-10)
+
+    def test_norm_is_sum_of_part_norms(self, algebra):
+        w, u = self._frame_row(algebra, 3)
+        for p in (1, 2, math.inf):
+            want = np.linalg.norm(w.real, p) + np.linalg.norm(w.imag, p)
+            assert _complex_norm(algebra, u, p) == pytest.approx(want, rel=1e-10)
+
+    def test_norm_invariant_under_i(self, algebra):
+        # multiplying by i swaps the parts up to sign, so the norm cannot change
+        u = random_element(algebra, 5).coords + 1j * random_element(algebra, 6).coords
+        assert _complex_norm(algebra, 1j * u, 2) == pytest.approx(_complex_norm(algebra, u, 2), rel=1e-13)
+
+    def test_inner_matches_hand_formula(self, algebra):
+        a, b = random_element(algebra, 7), random_element(algebra, 8)
+        c, d = random_element(algebra, 9), random_element(algebra, 10)
+        u, v = a.coords + 1j * b.coords, c.coords + 1j * d.coords
+        want = complex(
+            inner_product(a, c) + inner_product(b, d),
+            inner_product(b, c) - inner_product(a, d),
+        )
+        assert _pairing(u, v) == pytest.approx(want, rel=1e-12)
+        # conjugate symmetry and reduction to the real inner product
+        assert _pairing(v, u) == pytest.approx(want.conjugate(), rel=1e-12)
+        assert _pairing(a.coords, c.coords) == pytest.approx(inner_product(a, c), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+    def test_holder_pairing_complexified(self, algebra, p):
+        # |<u, v>| <= ||u||_p ||v||_q over random draws
+        q = conjugate(p)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            u = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+            v = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+            lhs = abs(_pairing(u, v))
+            rhs = _complex_norm(algebra, u, p) * _complex_norm(algebra, v, q)
+            assert lhs <= rhs * (1.0 + 1e-9)
 
 
 class TestConstants:

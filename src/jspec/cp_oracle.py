@@ -83,6 +83,8 @@ def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSea
     over coordinates and signs yields no improvement anywhere; the search
     ends once every start's step is below _STEP_MIN, or at _MAX_SWEEPS.
     """
+    if starts < 1:
+        raise ValueError("need starts >= 1")
     n, p = problem.n, problem.p
     rng = np.random.default_rng(seed)
     xy = rng.standard_normal((starts, 2 * n))

@@ -113,28 +113,23 @@ def eigenvalues(a: Element) -> np.ndarray:
     return lam[order]
 
 
+def _sorted_spectrum(a: Element) -> tuple[np.ndarray, np.ndarray]:
+    """a's eigenvalues and its Jordan frame as chart rows, shape (rank,)
+    and (rank, dim), in stable decreasing order of the eigenvalues."""
+    lam, decs = a.algebra.decomp(a.coords)
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], a.algebra.frame_coords(decs)[order]
+
+
 def spectral_decomposition(a: Element) -> SpectralDecomposition:
     """Eigenvalues (decreasing) with a Jordan frame of primitive idempotents."""
-    alg = a.algebra
-    lam, decs = alg.decomp(a.coords)
-    frames = alg.frame_coords(decs)  # (rank, dim)
-    order = np.argsort(-lam, kind="stable")
-    frame = tuple(Element(alg, frames[j]) for j in order)
-    return SpectralDecomposition(eigenvalues=lam[order], frame=frame)
+    lam, frames = _sorted_spectrum(a)
+    return SpectralDecomposition(eigenvalues=lam, frame=tuple(Element(a.algebra, f) for f in frames))
 
 
 def p_norm(a: Element, p: ExponentLike) -> float:
     """Spectral p-norm ||a||_p = ||lambda(a)||_p."""
     return float(vector_pnorm(a.algebra.eigenvalues(a.coords), p))
-
-
-def abs_power(a: Element, gamma: float) -> Element:
-    """|a|^gamma = sum |lambda_j|^gamma e_j in a's own frame (gamma > 0)."""
-    if not gamma > 0.0:
-        raise ValueError(f"exponent must be positive, got {gamma!r}")
-    alg = a.algebra
-    lam, decs = alg.decomp(a.coords)
-    return Element(alg, alg.rebuild(decs, np.abs(lam) ** float(gamma)))
 
 
 def is_invertible(a: Element, tol: float = 1e-12) -> bool:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import Element, inner_product, is_invertible, p_norm
+from .elements import Element, _sorted_spectrum, inner_product, is_invertible, p_norm
 from .errors import DegenerateInputError, UnsupportedCaseError
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
 from .linmaps import (
@@ -293,8 +293,6 @@ class ThreeLinesReport:
     grid_im: np.ndarray
     abs_line0: np.ndarray
     abs_line1: np.ndarray
-    line0_cap: Optional[float] = None
-    line1_cap: Optional[float] = None
 
     @property
     def geometric_slack(self) -> float:
@@ -310,15 +308,6 @@ def _family_weights(lam: np.ndarray, expo: np.ndarray) -> np.ndarray:
     return np.exp(np.log(np.abs(lam))[None, :] * expo[:, None])
 
 
-def _spectrum(v: Element) -> tuple[np.ndarray, np.ndarray]:
-    """v's eigenvalues and its Jordan frame as chart rows, shape (rank,)
-    and (rank, dim), in spectral_decomposition's stable decreasing order.
-    The order fixes the summation order of the family's coordinates."""
-    lam, decs = v.algebra.decomp(v.coords)
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], v.algebra.frame_coords(decs)[order]
-
-
 def three_lines_demo(
     t: LinearMap,
     a: Element,
@@ -327,7 +316,6 @@ def three_lines_demo(
     theta: float,
     grid_points: int = 401,
     grid_span: float = 10.0,
-    cfg: EstimatorConfig | None = None,
 ) -> ThreeLinesReport:
     """Evaluate the analytic family behind the interpolation bound.
 
@@ -336,10 +324,6 @@ def three_lines_demo(
     needs |eigenvalue|^z. Exponent degeneracies (r_theta = inf on the a
     side, s_theta = 1 on the b side) force both endpoints to the same
     value, and the family is constant there by convention.
-
-    When cfg is given, line sups are also compared against the
-    theoretical caps c_{r_j} c_{s_j'} ||T||_{r_j -> s_j} computed with
-    estimated (lower-bound) norms; those fields stay None otherwise.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
@@ -353,7 +337,8 @@ def three_lines_demo(
         if not is_invertible(v, tol=1e-8 * max(1.0, p_norm(v, "inf"))):
             raise DegenerateInputError(f"three-lines family needs invertible {label}")
 
-    (lam_a, frame_a), (lam_b, frame_b) = _spectrum(a), _spectrum(b)
+    # the stable decreasing order fixes the summation order of the coordinates
+    (lam_a, frame_a), (lam_b, frame_b) = _sorted_spectrum(a), _sorted_spectrum(b)
     eps_a = np.where(lam_a >= 0, 1.0, -1.0)
     eps_b = np.where(lam_b >= 0, 1.0, -1.0)
 
@@ -386,12 +371,6 @@ def three_lines_demo(
     sup0, sup1 = float(abs0.max()), float(abs1.max())
     pairing = inner_product(t(a), b)
 
-    cap0 = cap1 = None
-    if cfg is not None:
-        est0, est1 = estimate_many([(t, pair.r0, pair.s0, cfg), (t, pair.r1, pair.s1, cfg)])
-        cap0 = pair.endpoint_factor(0) * est0.lower_bound
-        cap1 = pair.endpoint_factor(1) * est1.lower_bound
-
     return ThreeLinesReport(
         theta=float(theta),
         phi_theta=phi_theta,
@@ -403,6 +382,4 @@ def three_lines_demo(
         grid_im=im,
         abs_line0=abs0,
         abs_line1=abs1,
-        line0_cap=cap0,
-        line1_cap=cap1,
     )

@@ -122,8 +122,12 @@ def reflection_mixture(units: Sequence[Element], weights: Sequence[float] | None
         w = np.full(len(units), 1.0 / len(units))
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(units),) or np.any(w < 0):
-            raise ValueError("weights must be nonnegative, one per element")
+        if w.shape != (len(units),):
+            raise ValueError("need one weight per element")
+        if not np.isfinite(w).all():
+            raise NonFiniteInputError("weights must be finite")
+        if np.any(w < 0) or w.sum() <= 0:
+            raise ValueError("weights must be nonnegative with a positive sum")
         w = w / w.sum()
     m = sum(wi * quadratic_rep(u).matrix for wi, u in zip(w, units))
     return LinearMap(alg, m)

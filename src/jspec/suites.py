@@ -80,15 +80,6 @@ def _rng(base: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(base, *path))
 
 
-def _est_cfg(cfg: CampaignConfig, trial: int) -> EstimatorConfig:
-    return EstimatorConfig(
-        restarts=cfg.restarts,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        seed=derive_seed(cfg.seed, 7, trial, 0),
-    )
-
-
 def _fold(rows, worst: str, **margins) -> tuple[dict, list]:
     """Fold trial rows, one at a time, into margins and the 3 rows with
     the largest row[worst] (the earlier of equal ones first), so memory
@@ -108,17 +99,18 @@ def _estimated(cfg: CampaignConfig, alg: Algebra, plan):
     order.
 
     plan(trial, ecfg) returns (ctx, t, norms): the trial's context, its
-    map and the (r, s) of each norm to estimate with ecfg = _est_cfg(cfg,
-    trial). Consecutive trials share one estimate_many call while it
-    holds at most _EST_FLOATS floats of problems x restarts x dim; a
-    trial past that alone gets a call of its own. A chunk's trials are
-    planned, estimated and yielded before the next chunk is planned, so
-    memory does not grow with cfg.trials.
+    map and the (r, s) of each norm to estimate with ecfg, the campaign's
+    estimator settings seeded for the trial. Consecutive trials share one
+    estimate_many call while it holds at most _EST_FLOATS floats of
+    problems x restarts x dim; a trial past that alone gets a call of its
+    own. A chunk's trials are planned, estimated and yielded before the
+    next chunk is planned, so memory does not grow with cfg.trials.
     """
     per_problem = cfg.restarts * alg.dim
     chunk, problems = [], []
     for trial in range(cfg.trials):
-        ecfg = _est_cfg(cfg, trial)
+        ecfg = EstimatorConfig(restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
+                               seed=derive_seed(cfg.seed, 7, trial, 0))
         ctx, t, norms = plan(trial, ecfg)
         if chunk and (len(problems) + len(norms)) * per_problem > _EST_FLOATS:
             yield from _chunk_bounds(chunk, problems)
@@ -466,11 +458,12 @@ def _suite_corollary4(cfg: CampaignConfig):
 
 def _suite_three_lines(cfg: CampaignConfig):
     """Analytic-family walk-through: the pairing must match phi(theta)
-    and the sampled geometric-mean and line-cap bounds must hold."""
+    and the sampled geometric-mean and line-cap bounds must hold. Line j's
+    cap is c_{r_j} c_{s_j'} ||T||_{r_j -> s_j}, with the estimated norm."""
     alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
-    def one(trial: int) -> dict:
+    def plan(trial: int, ecfg: EstimatorConfig):
         rng = _rng(cfg.seed, 12, trial)
         t = random_map(alg, rng)
         pair = ExponentPair(_pick(rng, exps), _pick(rng, exps), _pick(rng, exps), _pick(rng, exps))
@@ -479,26 +472,30 @@ def _suite_three_lines(cfg: CampaignConfig):
             a = random_element(alg, rng)
             b = random_element(alg, rng)
             try:
-                rep = three_lines_demo(t, a, b, pair, theta, cfg=_est_cfg(cfg, trial))
+                rep = three_lines_demo(t, a, b, pair, theta)
                 break
             except DegenerateInputError:
                 continue
         else:
             raise DegenerateInputError("could not draw invertible elements")
+        # only scalars are kept while the chunk is estimated, not the grid arrays
         geo_over = (abs(rep.phi_theta) - rep.geometric_bound) / max(rep.geometric_bound, 1e-30)
-        cap_over = max(
-            (rep.sup_line0 - rep.line0_cap) / max(rep.line0_cap, 1e-30),
-            (rep.sup_line1 - rep.line1_cap) / max(rep.line1_cap, 1e-30),
-        )
+        ctx = (pair, theta, rep.pairing_error, float(geo_over), rep.sup_line0, rep.sup_line1)
+        return ctx, t, ((pair.r0, pair.s0), (pair.r1, pair.s1))
+
+    def one(trial: int, ctx: tuple, bounds: list) -> dict:
+        pair, theta, pairing_error, geo_over, sup0, sup1 = ctx
+        cap0, cap1 = (pair.endpoint_factor(j) * bounds[j] for j in (0, 1))
+        cap_over = max((sup0 - cap0) / max(cap0, 1e-30), (sup1 - cap1) / max(cap1, 1e-30))
         return {
             "trial": trial,
-            "pairing_error": rep.pairing_error,
-            "geo_overshoot": float(geo_over),
+            "pairing_error": pairing_error,
+            "geo_overshoot": geo_over,
             "cap_overshoot": float(cap_over),
             "theta": theta,
         }
 
-    rows = (one(trial) for trial in range(cfg.trials))
+    rows = (one(trial, ctx, bounds) for trial, (ctx, bounds) in enumerate(_estimated(cfg, alg, plan)))
     margins, top = _fold(rows, "pairing_error", max_pairing_error=(max, "pairing_error"),
                          max_geo_overshoot=(max, "geo_overshoot"), max_cap_overshoot=(max, "cap_overshoot"))
     passed = (

@@ -73,6 +73,11 @@ class TestSearch:
         assert a.value == b.value
         assert np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_rejects_fewer_than_one_start(self, starts):
+        with pytest.raises(ValueError, match="need starts >= 1"):
+            cp_bruteforce(CpProblem(2, 1.5), starts=starts)
+
     def test_single_start_can_stall_below_optimum(self):
         # the deterministic honest-failure fixture used by the report tests
         from jspec.suites import derive_seed

@@ -1,4 +1,4 @@
-"""Element layer: spectra, frames, norms, powers, sampling."""
+"""Element layer: spectra, frames, norms, sampling."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from jspec import (
     AlgebraMismatchError,
-    abs_power,
     eigenvalues,
     inner_product,
     is_invertible,
@@ -79,6 +78,7 @@ class TestSpectral:
     def test_decomposition_reconstructs(self, algebra):
         a = random_element(algebra, 11)
         dec = spectral_decomposition(a)
+        assert np.all(np.diff(dec.eigenvalues) <= 0.0)
         back = sum((lam * c.coords for lam, c in zip(dec.eigenvalues, dec.frame)), np.zeros(algebra.dim))
         assert np.allclose(back, a.coords, atol=1e-10)
         assert np.allclose(dec.reconstruct().coords, a.coords, atol=1e-10)
@@ -131,23 +131,6 @@ class TestNorms:
         assert p_norm(e, 1) == pytest.approx(n)
         assert p_norm(e, 3) == pytest.approx(n ** (1 / 3))
         assert p_norm(e, "inf") == pytest.approx(1.0)
-
-
-class TestAbsPower:
-    def test_gamma_two_is_jordan_square(self, algebra):
-        a = random_element(algebra, 31)
-        sq = jordan_product(a, a)
-        assert np.allclose(abs_power(a, 2.0).coords, sq.coords, atol=1e-9)
-
-    def test_gamma_one_is_abs(self, algebra):
-        a = random_element(algebra, 37)
-        got = eigenvalues(abs_power(a, 1.0))
-        want = np.sort(np.abs(eigenvalues(a)))[::-1]
-        assert np.allclose(got, want, atol=1e-10)
-
-    def test_rejects_nonpositive_gamma(self, algebra):
-        with pytest.raises(ValueError):
-            abs_power(random_element(algebra, 1), 0.0)
 
 
 class TestSampling:

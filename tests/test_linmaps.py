@@ -178,6 +178,16 @@ class TestStructuredFamilies:
         with pytest.raises(ValueError):
             reflection_mixture([bad])
 
+    @pytest.mark.parametrize("weights,error", [
+        ([0.0], ValueError), ([0.0, 0.0], ValueError), ([math.nan], NonFiniteInputError),
+        ([math.inf], NonFiniteInputError), ([1.0, -math.inf], NonFiniteInputError),
+    ])
+    def test_reflection_mixture_rejects_bad_weights(self, weights, error):
+        # checked before the weights are normalized, so no 0/0 or inf/inf
+        e = unit(parse_algebra("sym:3"))  # e o e = e
+        with pytest.raises(error, match="weight"):
+            reflection_mixture([e] * len(weights), weights)
+
     def test_random_doubly_stochastic_invariants(self, algebra):
         t = random_doubly_stochastic(algebra, 20)
         e = unit(algebra)

@@ -107,7 +107,8 @@ class TestAllSuitesSmoke:
         assert rep.passed
 
 
-ESTIMATOR_SUITES = ("lyapunov-norms", "quadrep-norms", "positive-norms", "theorem1", "theorem2", "corollary4")
+ESTIMATOR_SUITES = ("lyapunov-norms", "quadrep-norms", "positive-norms", "theorem1", "theorem2", "corollary4",
+                    "three-lines")
 
 
 def _spy(monkeypatch, module, calls: list) -> None:

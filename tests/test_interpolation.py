@@ -25,6 +25,7 @@ from jspec import (
     inner_product,
     interpolate,
     interpolation,
+    jordan_product,
     lyapunov,
     p_norm,
     parse_algebra,
@@ -112,6 +113,44 @@ class TestComplexLayer:
             lhs = abs(_pairing(u, v))
             rhs = _complex_norm(algebra, u, p) * _complex_norm(algebra, v, q)
             assert lhs <= rhs * (1.0 + 1e-9)
+
+
+class TestFamilyWeights:
+    """The transport the three-lines family applies to a and b:
+    sum_j eps_j |lam_j|^z e_j over a's sorted Jordan frame, with
+    |lam_j|^z from _family_weights. At a real exponent it is a spectral
+    power of a; on the lines Re z = 0 and Re z = 1 its weights have the
+    moduli 1 and |lam_j|."""
+
+    @staticmethod
+    def _power(a, expo):
+        lam, frame = elements._sorted_spectrum(a)
+        w = interpolation._family_weights(lam, np.asarray(expo, dtype=complex).reshape(-1))
+        return lam, frame, w
+
+    def test_exponent_two_is_jordan_square(self, algebra):
+        a = random_element(algebra, 31)
+        _, frame, w = self._power(a, 2.0)
+        u = w[0] @ frame
+        assert np.allclose(u.imag, 0.0, atol=1e-12)
+        assert np.allclose(u.real, jordan_product(a, a).coords, atol=1e-9)
+
+    def test_exponent_one_gives_abs_and_signs_give_back_a(self, algebra):
+        a = random_element(algebra, 37)
+        lam, frame, w = self._power(a, 1.0)
+        got = eigenvalues(Element(algebra, (w[0] @ frame).real))
+        assert np.allclose(got, np.sort(np.abs(lam))[::-1], atol=1e-10)
+        eps = np.where(lam >= 0, 1.0, -1.0)
+        assert np.allclose((eps * w[0]) @ frame, a.coords, atol=1e-10)
+
+    def test_boundary_line_moduli(self, algebra):
+        a = random_element(algebra, 41)
+        im = np.linspace(-10.0, 10.0, 9)
+        lam, _, w0 = self._power(a, 1j * im)
+        _, _, w1 = self._power(a, 1.0 + 1j * im)
+        assert w0.shape == w1.shape == (im.size, algebra.rank)
+        assert np.allclose(np.abs(w0), 1.0, rtol=1e-12)
+        assert np.allclose(np.abs(w1), np.abs(lam)[None, :], rtol=1e-12)
 
 
 class TestConstants:

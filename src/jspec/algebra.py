@@ -17,21 +17,21 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
                     (sqrt(2)*Re A_ij, sqrt(2)*Im A_ij) in row-major order.
 
 Factor protocol: every factor has a kind, a descriptor size, dim and
-rank, and the kernels unit_coords(), jordan(u, v), decomp(u) ->
-(eigenvalues, basis), eigvals(u), rebuild(dec, lam), frame(dec),
-random_frame(rng) and random_idempotents(rng, cols) (for each i, row
-cols[i] of its own random frame, shape (len(cols), dim)). eigvals(u) is
-decomp(u)[0] computed without the Jordan frame; norms and trace
-inequalities need only eigenvalues, so they never pay for eigenvectors.
-A RealLines block gives its eigenvalues in chart order (they are its
-coordinates, and its basis is None); every other factor gives them
-descending. Algebra.decomp(u) has the same shape, (eigenvalues, decs):
-the factors' eigenvalues concatenated, as Algebra.eigenvalues gives
-them, and the list of factor decompositions that Algebra.rebuild and
-Algebra.frame_coords take. The trace is tr(a) = <a, e>, so no factor
-carries a separate trace vector. Real symmetric and complex Hermitian
-matrices are one family, Herm_k(F), and share _MatrixFactor; only the
-scalar field and the chart differ.
+rank, and six kernels: unit_coords(), jordan(u, v), decomp(u) ->
+(eigenvalues, basis), eigvals(u), rebuild(dec, lam) and random_dec(rng,
+shape) -> (None, basis), the basis half of decomp for a random Jordan
+frame per index of shape. eigvals(u) is decomp(u)[0] computed without
+the Jordan frame; norms and trace inequalities need only eigenvalues, so
+they never pay for eigenvectors. A RealLines block gives its eigenvalues
+in chart order (they are its coordinates, and its basis is None); every
+other factor gives them descending. Algebra.decomp(u) has the same
+shape, (eigenvalues, decs): the factors' eigenvalues concatenated, as
+Algebra.eigenvalues gives them, and the list of factor decompositions
+that Algebra.rebuild takes. A frame is rebuild(decs, I): its primitive
+idempotent c_j is the element with eigenvalue vector e_j. The trace is
+tr(a) = <a, e>, so no factor carries a separate trace vector. Real
+symmetric and complex Hermitian matrices are one family, Herm_k(F), and
+share _MatrixFactor; only the scalar field and the chart differ.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -98,15 +98,8 @@ class RealLines(_Factor):
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
         return lam
 
-    def frame(self, dec) -> np.ndarray:
-        k = self.size
-        return np.broadcast_to(np.eye(k), dec[0].shape[:-1] + (k, k))
-
-    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        return np.eye(self.size)
-
-    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
-        return np.eye(self.size)[cols]
+    def random_dec(self, rng: np.random.Generator, shape: tuple):
+        return None, None
 
 
 class Spin(_Factor):
@@ -159,23 +152,9 @@ class Spin(_Factor):
         xb = w * ((lam[..., 0] - lam[..., 1]) / 2.0)[..., None]
         return np.concatenate([x0[..., None], xb], axis=-1) * _SQRT2
 
-    def frame(self, dec) -> np.ndarray:
-        """Both primitive idempotents, shape (..., 2, dim)."""
-        w = dec[1]
-        ones = np.ones(w.shape[:-1] + (1,))
-        c_plus = np.concatenate([ones, w], axis=-1) / _SQRT2
-        c_minus = np.concatenate([ones, -w], axis=-1) / _SQRT2
-        return np.stack([c_plus, c_minus], axis=-2)
-
-    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        w = rng.standard_normal(self.dim - 1)
-        return self.frame((None, w / np.linalg.norm(w)))
-
-    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
-        w = rng.standard_normal((len(cols), self.dim - 1))
-        w /= np.linalg.norm(w, axis=-1, keepdims=True)
-        w[cols == 1] *= -1.0  # c- = (1, -w) / sqrt(2) in the chart
-        return np.concatenate([np.ones((len(cols), 1)), w], axis=-1) / _SQRT2
+    def random_dec(self, rng: np.random.Generator, shape: tuple):
+        w = rng.standard_normal(shape + (self.dim - 1,))
+        return None, w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 class _MatrixFactor(_Factor):
@@ -207,10 +186,6 @@ class _MatrixFactor(_Factor):
         q = dec[1]
         return self.from_dense(np.einsum("...ik,...k,...jk->...ij", q, lam, q.conj()))
 
-    def frame(self, dec) -> np.ndarray:
-        q = dec[1]
-        return self.from_dense(np.einsum("...ij,...kj->...jik", q, q.conj()))  # (..., rank, k, k)
-
     def _haar(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
         """Haar-random unitaries of the field, shape shape + (k, k): QR of
         a Gaussian matrix with the phases of R's diagonal moved into Q
@@ -223,12 +198,8 @@ class _MatrixFactor(_Factor):
         d = np.diagonal(r, axis1=-2, axis2=-1)
         return q * (d / np.abs(d))[..., None, :]
 
-    def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        return self.frame((None, self._haar(rng, ())))
-
-    def random_idempotents(self, rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
-        v = self._haar(rng, (len(cols),))[np.arange(len(cols)), :, cols]  # column cols[i] of matrix i
-        return self.from_dense(v[:, :, None] * v.conj()[:, None, :])
+    def random_dec(self, rng: np.random.Generator, shape: tuple):
+        return None, self._haar(rng, shape)
 
 
 class SymMatrix(_MatrixFactor):
@@ -347,7 +318,7 @@ class Algebra:
 
     def decomp(self, coords: np.ndarray) -> tuple[np.ndarray, list]:
         """(eigenvalues, decs): the eigenvalue vector as eigenvalues(coords)
-        lays it out, and each factor's decomp for rebuild and frame_coords."""
+        lays it out, and each factor's decomp for rebuild."""
         decs = [f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)]
         return np.concatenate([d[0] for d in decs], axis=-1), decs
 
@@ -366,33 +337,24 @@ class Algebra:
         ]
         return np.concatenate(parts, axis=-1)
 
-    def frame_coords(self, decs: list) -> np.ndarray:
-        """All primitive idempotents, shape (..., rank, dim); block j holds
-        zeros outside its own factor."""
-        lead = np.broadcast_shapes(*[d[0].shape[:-1] for d in decs])
-        out = np.zeros(lead + (self.rank, self.dim))
-        for f, d, sl, rsl in zip(self.factors, decs, self.slices, self.rank_slices):
-            out[..., rsl, sl] = f.frame(d)
-        return out
-
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
-        """A random Jordan frame, shape (rank, dim)."""
-        out = np.zeros((self.rank, self.dim))
-        for f, sl, rsl in zip(self.factors, self.slices, self.rank_slices):
-            out[rsl, sl] = f.random_frame(rng)
-        return out
+        """A random Jordan frame, shape (rank, dim), row j rebuilt at e_j;
+        C-ordered, so products with it take one BLAS path on every algebra."""
+        decs = [f.random_dec(rng, ()) for f in self.factors]
+        return np.ascontiguousarray(self.rebuild(decs, np.eye(self.rank)))
 
     def random_idempotents(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count primitive idempotents, shape (count, dim): each is row j of
         its own random Jordan frame, j uniform over the rank, with only
-        that row built. Draw order: the count j's, then each factor's
-        frame draws for the rows that fall in it, factor by factor."""
+        that row rebuilt. Draw order: the count j's, then each factor's
+        random_dec for the rows that fall in it, factor by factor."""
         picks = rng.integers(self.rank, size=count)
         out = np.zeros((count, self.dim))
         for f, sl, rsl in zip(self.factors, self.slices, self.rank_slices):
             at = np.flatnonzero((picks >= rsl.start) & (picks < rsl.stop))
             if at.size:
-                out[at, sl] = f.random_idempotents(rng, picks[at] - rsl.start)
+                lam = np.eye(f.rank)[picks[at] - rsl.start]
+                out[at, sl] = f.rebuild(f.random_dec(rng, (at.size,)), lam)
         return out
 
 

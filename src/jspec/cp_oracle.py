@@ -218,6 +218,8 @@ def aggregate_split_check(
         raise ValueError("aggregation needs finite p")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     pv = pex.value
     bound = 2.0 ** (1.0 - pv / 2.0) if pv <= 2.0 else 1.0
     rng = np.random.default_rng(seed)

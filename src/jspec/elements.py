@@ -21,6 +21,8 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.coords):
+            raise TypeError("element coords must be real")
         c = np.asarray(self.coords, dtype=float)
         if c.shape != (self.algebra.dim,):
             raise ValueError(
@@ -118,7 +120,7 @@ def _sorted_spectrum(a: Element) -> tuple[np.ndarray, np.ndarray]:
     and (rank, dim), in stable decreasing order of the eigenvalues."""
     lam, decs = a.algebra.decomp(a.coords)
     order = np.argsort(-lam, kind="stable")
-    return lam[order], a.algebra.frame_coords(decs)[order]
+    return lam[order], a.algebra.rebuild(decs, np.eye(a.algebra.rank))[order]
 
 
 def spectral_decomposition(a: Element) -> SpectralDecomposition:

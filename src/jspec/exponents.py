@@ -27,6 +27,8 @@ class ExtExponent:
     value: float
 
     def __post_init__(self):
+        if isinstance(self.value, (bool, np.bool_)):
+            raise TypeError(f"exponent must be a number, not {self.value!r}")
         v = float(self.value)
         if math.isnan(v) or v < 1.0:
             raise ValueError(f"exponent must lie in [1, inf], got {self.value!r}")
@@ -44,7 +46,7 @@ class ExtExponent:
             if "/" in tok:
                 return cls(float(Fraction(tok)))
             return cls(float(tok))
-        return cls(float(p))
+        return cls(p)
 
     @classmethod
     def from_inverse(cls, t: float) -> "ExtExponent":

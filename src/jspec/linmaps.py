@@ -50,6 +50,8 @@ class LinearMap:
 
     def __post_init__(self):
         d = self.algebra.dim
+        if np.iscomplexobj(self.matrix):
+            raise TypeError("map matrix must be real")
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (d, d):
             raise ValueError(f"matrix must have shape ({d}, {d}), got {m.shape}")

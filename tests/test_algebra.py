@@ -142,7 +142,11 @@ class TestSpectral:
     def test_frames_are_orthonormal_idempotent_complete(self, algebra, rng):
         u = rng.standard_normal((20, algebra.dim))
         _, decs = algebra.decomp(u)
-        frames = algebra.frame_coords(decs)  # (20, rank, dim)
+        frames = np.stack([  # (20, rank, dim): row i's frame is rebuild(dec_i, I)
+            algebra.rebuild([(lam[i], None if q is None else q[i]) for lam, q in decs],
+                            np.eye(algebra.rank))
+            for i in range(len(u))
+        ])
         # completeness
         assert np.allclose(frames.sum(axis=1), algebra.unit_coords(), atol=1e-9)
         # pairwise trace-orthogonality (orthonormal chart: plain dot)
@@ -173,6 +177,38 @@ class TestSpectral:
         assert np.allclose(lam, want, atol=1e-12)
         assert algebra.random_idempotents(rng, 0).shape == (0, algebra.dim)
 
+    @pytest.mark.parametrize("desc", ["sym:3", "rn:6", "rn:2,sym:3,sym:2"])
+    def test_random_frames_match_the_outer_product_formula(self, desc):
+        """On real factors, random_frame and random_idempotents are bit for
+        bit the q_j q_j^T outer products of the same _haar draws, and the
+        frame comes back C-ordered."""
+        alg = parse_algebra(desc)
+
+        def outer(f, q):  # from_dense(q_j q_j^T) for each column j of q: (..., k, dim)
+            v = q.swapaxes(-1, -2)
+            return f.from_dense(v[..., :, None] * v[..., None, :])
+
+        want = np.zeros((alg.rank, alg.dim))
+        ref = np.random.default_rng(7)
+        for f, sl, rsl in zip(alg.factors, alg.slices, alg.rank_slices):
+            want[rsl, sl] = np.eye(f.rank) if f.kind == "rn" else outer(f, f._haar(ref, ()))
+        got = alg.random_frame(np.random.default_rng(7))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+        picks = ref.integers(alg.rank, size=40)
+        want = np.zeros((40, alg.dim))
+        for f, sl, rsl in zip(alg.factors, alg.slices, alg.rank_slices):
+            at = np.flatnonzero((picks >= rsl.start) & (picks < rsl.stop))
+            cols = picks[at] - rsl.start
+            if f.kind == "rn":
+                want[at, sl] = np.eye(f.rank)[cols]
+            elif at.size:
+                want[at, sl] = outer(f, f._haar(ref, (at.size,)))[np.arange(at.size), cols]
+        rng = np.random.default_rng(7)
+        alg.random_frame(rng)
+        assert alg.random_idempotents(rng, 40).tobytes() == want.tobytes()
+
     def test_spin_eigenvalues_analytic(self):
         alg = parse_algebra("spin:3")
         # natural (x0, xbar) = (1, (3, 4)), chart = sqrt(2) * natural
@@ -182,7 +218,7 @@ class TestSpectral:
     def test_spin_zero_vector_part_frame(self):
         alg = parse_algebra("spin:4")
         _, decs = alg.decomp(alg.unit_coords())
-        frames = alg.frame_coords(decs)
+        frames = alg.rebuild(decs, np.eye(alg.rank))
         assert np.allclose(frames.sum(axis=0), alg.unit_coords(), atol=1e-14)
 
 

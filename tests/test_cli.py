@@ -215,6 +215,15 @@ class TestReplay:
         assert run_cli("replay", str(out)) == 2
         assert f"report field {field!r} must be of type" in capsys.readouterr().err
 
+    def test_replay_bool_exponent_exit_two(self, tmp_path, capsys):
+        # JSON true is not the exponent 1
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["config"]["grid"] = [True]
+        self._reseal(out, data)
+        assert run_cli("replay", str(out)) == 2
+        assert "bad grid exponent" in capsys.readouterr().err
+
     def test_replay_unknown_suite_exit_two(self, tmp_path, capsys):
         out = self._write_report(tmp_path)
         data = json.loads(out.read_text())

@@ -166,6 +166,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate_split_check(math.inf, 2)
 
+    def test_rejects_empty_vectors(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            aggregate_split_check(2.0, 0)
+
 
 class TestResultRecord:
     def test_holds_threshold(self):

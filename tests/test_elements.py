@@ -7,6 +7,7 @@ import pytest
 
 from jspec import (
     AlgebraMismatchError,
+    Element,
     eigenvalues,
     inner_product,
     is_invertible,
@@ -40,6 +41,13 @@ class TestBasics:
             jordan_product(a, b)
         with pytest.raises(AlgebraMismatchError):
             inner_product(a, b)
+
+    def test_complex_coords_rejected(self):
+        # the float cast would drop the imaginary parts without a word
+        with pytest.raises(TypeError, match="must be real"):
+            Element(parse_algebra("rn:3"), [1 + 2j, 0, 3])
+        with pytest.raises(TypeError, match="must be real"):
+            Element(parse_algebra("rn:3"), np.zeros(3, dtype=complex))
 
     def test_jordan_matches_oracle(self, algebra, rng):
         for seed in range(5):

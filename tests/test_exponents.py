@@ -30,6 +30,13 @@ class TestCoerce:
         with pytest.raises((ValueError, ZeroDivisionError)):
             ExtExponent.coerce(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])
+    def test_rejects_bools(self, bad):
+        with pytest.raises(TypeError):
+            ExtExponent.coerce(bad)
+        with pytest.raises(TypeError):
+            ExtExponent(bad)
+
     def test_ordering(self):
         grid = [ExtExponent.coerce(v) for v in (1, 1.5, 2, 4, "inf")]
         assert grid == sorted(grid)

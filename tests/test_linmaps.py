@@ -96,6 +96,11 @@ class TestLinearMapBasics:
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 5.0
 
+    def test_rejects_complex_matrix(self):
+        alg = parse_algebra("sym:2")
+        with pytest.raises(TypeError, match="must be real"):
+            LinearMap(alg, np.eye(alg.dim) * (1 + 1j))
+
     def test_rejects_wrong_algebra_input(self):
         t = random_map(parse_algebra("sym:2"), 0)
         a = random_element(parse_algebra("spin:3"), 0)

@@ -4,6 +4,7 @@ checksums, canonical JSON."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from jspec import CampaignConfig, ReportError, SuiteReport, load_report, run_suite
@@ -63,6 +64,8 @@ class TestCampaignConfig:
             {"suite": ["ftvn"]},
             {"grid": "12"},
             {"grid": [{}]},
+            {"grid": [True]},
+            {"grid": ["inf", np.True_]},
         ],
     )
     def test_field_types(self, kw):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .exponents import ExponentLike, ExtExponent, vector_pnorm
 
 # floats per row block of a bulk check, 128 KB per float array. Larger
@@ -55,8 +56,7 @@ class CpProblem:
     p: ExtExponent
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
+        check_count("n", self.n, 2)
         object.__setattr__(self, "p", ExtExponent.coerce(self.p))
 
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -83,8 +83,7 @@ def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSea
     over coordinates and signs yields no improvement anywhere; the search
     ends once every start's step is below _STEP_MIN, or at _MAX_SWEEPS.
     """
-    if starts < 1:
-        raise ValueError("need starts >= 1")
+    check_count("starts", starts, 1)
     n, p = problem.n, problem.p
     rng = np.random.default_rng(seed)
     xy = rng.standard_normal((starts, 2 * n))
@@ -161,8 +160,7 @@ def _pair_blocks(seed: int, trials: int):
 def _fuzz_pairs(name: str, p: float, trials: int, seed: int, violation) -> InequalityResult:
     """Evaluate violation(z, w) on each row block of pairs and keep the
     first worst pair."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_count("trials", trials, 1)
     worst = None
     for zb, wb in _pair_blocks(seed, trials):
         viol = violation(zb, wb)
@@ -216,10 +214,8 @@ def aggregate_split_check(
     pex = ExtExponent.coerce(p)
     if pex.is_inf:
         raise ValueError("aggregation needs finite p")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_count("trials", trials, 1)
+    check_count("n", n, 1)
     pv = pex.value
     bound = 2.0 ** (1.0 - pv / 2.0) if pv <= 2.0 else 1.0
     rng = np.random.default_rng(seed)

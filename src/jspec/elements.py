@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Algebra
-from .errors import AlgebraMismatchError, NonFiniteInputError
+from .errors import AlgebraMismatchError, real_array
 from .exponents import ExponentLike, vector_pnorm
 
 
@@ -21,18 +21,7 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.coords):
-            raise TypeError("element coords must be real")
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.algebra.dim,):
-            raise ValueError(
-                f"coords must have shape ({self.algebra.dim},), got {c.shape}"
-            )
-        if not np.isfinite(c).all():
-            raise NonFiniteInputError("element coords must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", real_array(self.coords, (self.algebra.dim,), "element coords"))
 
     def __add__(self, other: "Element") -> "Element":
         _check_same(self, other)
@@ -136,8 +125,8 @@ def p_norm(a: Element, p: ExponentLike) -> float:
 
 def is_invertible(a: Element, tol: float = 1e-12) -> bool:
     """True iff every eigenvalue exceeds tol in absolute value."""
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0.0:  # a nan tol fails this too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     lam = a.algebra.eigenvalues(a.coords)
     return bool(np.abs(lam).min() > tol)
 
@@ -152,10 +141,5 @@ def random_element(
     rng = np.random.default_rng(seed)
     if spectrum is None:
         return Element(alg, rng.standard_normal(alg.dim))
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.shape != (alg.rank,):
-        raise ValueError(
-            f"spectrum must have length rank={alg.rank}, got {lam.shape}"
-        )
-    frame = alg.random_frame(rng)
-    return Element(alg, lam @ frame)
+    lam = real_array(spectrum, (alg.rank,), "spectrum")
+    return Element(alg, lam @ alg.random_frame(rng))

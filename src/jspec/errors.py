@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks that
+every entry point applies to outside input. real_array (element coords,
+map and congruence matrices, spectra, mixture weights) raises TypeError
+on complex input, ValueError on a wrong shape and NonFiniteInputError on
+a NaN or infinite entry. check_count (restarts, max_iters, seed, trials,
+starts, n, grid_points) raises TypeError unless the count is an integer
+and no bool, and ValueError below its minimum. This module imports
+nothing else from the package, so every module can use it."""
+
+import numbers
+
+import numpy as np
 
 
 class JspecError(Exception):
@@ -14,7 +25,7 @@ class DegenerateInputError(JspecError):
 
 
 class NonFiniteInputError(JspecError):
-    """An element or map holds a NaN or infinite entry."""
+    """An array input or a tolerance holds a NaN or infinite value."""
 
 
 class UnsupportedCaseError(JspecError):
@@ -28,3 +39,25 @@ class DescriptorError(JspecError):
 class ReportError(JspecError):
     """A report file could not be read or written, or failed schema or
     checksum validation."""
+
+
+def real_array(x, shape: tuple, what: str) -> np.ndarray:
+    """x as a new, read-only, C-ordered float array of the given shape.
+    C order keeps later matmuls on one BLAS path whatever the layout of x."""
+    if np.iscomplexobj(x):  # the float cast would drop the imaginary parts
+        raise TypeError(f"{what} must be real")
+    a = np.array(x, dtype=float, order="C")
+    if a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInputError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Reject a count that is not an integer (a bool included) or is below low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

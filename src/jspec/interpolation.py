@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .elements import Element, _sorted_spectrum, inner_product, is_invertible, p_norm
-from .errors import DegenerateInputError, UnsupportedCaseError
+from .errors import DegenerateInputError, UnsupportedCaseError, check_count
 from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
 from .linmaps import (
     _SQRT8,
@@ -47,6 +47,7 @@ from .reports import exponent_to_json
 
 # relative slack separating numerical noise from a real counterexample
 VIOLATION_RTOL = 1e-8
+_GRID_SPAN = 10.0  # three_lines_demo samples the lines Re z = 0, 1 on |Im z| <= this
 
 
 # -- exponent pairs and constants ---------------------------------------
@@ -315,7 +316,6 @@ def three_lines_demo(
     pair: ExponentPair,
     theta: float,
     grid_points: int = 401,
-    grid_span: float = 10.0,
 ) -> ThreeLinesReport:
     """Evaluate the analytic family behind the interpolation bound.
 
@@ -325,9 +325,8 @@ def three_lines_demo(
     side, s_theta = 1 on the b side) force both endpoints to the same
     value, and the family is constant there by convention.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    rt, st = pair.at(theta)
+    check_count("grid_points", grid_points, 1)
+    rt, st = pair.at(theta)  # ValueError unless theta lies in [0, 1]
     na, nb = p_norm(a, rt), p_norm(b, st.conjugate)
     if na <= 0 or nb <= 0:
         raise DegenerateInputError("three-lines family needs nonzero a and b")
@@ -345,7 +344,7 @@ def three_lines_demo(
     alpha0, alpha1, alpha = pair.r0.inv, pair.r1.inv, rt.inv
     beta0, beta1, beta = pair.s0.inv, pair.s1.inv, st.inv
 
-    im = np.linspace(-grid_span, grid_span, grid_points)
+    im = np.linspace(-_GRID_SPAN, _GRID_SPAN, grid_points)
     z0, z1 = 1j * im, 1.0 + 1j * im
     z_all = np.concatenate([z0, z1, [complex(theta)]])
 

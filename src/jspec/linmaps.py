@@ -13,7 +13,6 @@ not a claim of global optimality.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -26,6 +25,8 @@ from .errors import (
     DegenerateInputError,
     NonFiniteInputError,
     UnsupportedCaseError,
+    check_count,
+    real_array,
 )
 from .exponents import ExponentLike, ExtExponent, cp_constant, vector_pnorm
 
@@ -49,17 +50,7 @@ class LinearMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        d = self.algebra.dim
-        if np.iscomplexobj(self.matrix):
-            raise TypeError("map matrix must be real")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must have shape ({d}, {d}), got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NonFiniteInputError("map matrix must be finite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", real_array(self.matrix, (self.algebra.dim,) * 2, "map matrix"))
 
     def __call__(self, v: Element) -> Element:
         if v.algebra != self.algebra:
@@ -99,9 +90,7 @@ def congruence(a_mat: np.ndarray, alg: Algebra) -> LinearMap:
     if len(alg.factors) != 1 or not isinstance(alg.factors[0], SymMatrix):
         raise UnsupportedCaseError("congruence needs an algebra with a single sym:k factor")
     fac = alg.factors[0]
-    a_mat = np.asarray(a_mat, dtype=float)
-    if a_mat.shape != (fac.size, fac.size):
-        raise ValueError(f"matrix must be {fac.size} x {fac.size}")
+    a_mat = real_array(a_mat, (fac.size, fac.size), "congruence matrix")
     basis = fac.to_dense(np.eye(alg.dim))
     out = a_mat @ basis @ a_mat.T
     return LinearMap(alg, fac.from_dense(out).T)
@@ -123,11 +112,7 @@ def reflection_mixture(units: Sequence[Element], weights: Sequence[float] | None
     if weights is None:
         w = np.full(len(units), 1.0 / len(units))
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(units),):
-            raise ValueError("need one weight per element")
-        if not np.isfinite(w).all():
-            raise NonFiniteInputError("weights must be finite")
+        w = real_array(weights, (len(units),), "weights")
         if np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with a positive sum")
         w = w / w.sum()
@@ -135,16 +120,16 @@ def reflection_mixture(units: Sequence[Element], weights: Sequence[float] | None
     return LinearMap(alg, m)
 
 
-def random_doubly_stochastic(alg: Algebra, seed: int | np.random.Generator, terms: int = 4) -> LinearMap:
-    """Random doubly stochastic map: mixture of quadratic representations
-    P_u with u = sum +/- e_i over random Jordan frames."""
+def random_doubly_stochastic(alg: Algebra, seed: int | np.random.Generator) -> LinearMap:
+    """Random doubly stochastic map: mixture of four quadratic
+    representations P_u with u = sum +/- e_i over random Jordan frames."""
     rng = np.random.default_rng(seed)
     units = []
-    for _ in range(terms):
+    for _ in range(4):
         frame = alg.random_frame(rng)
         signs = rng.integers(0, 2, alg.rank) * 2.0 - 1.0
         units.append(Element(alg, signs @ frame))
-    weights = rng.dirichlet(np.ones(terms))
+    weights = rng.dirichlet(np.ones(len(units)))
     return reflection_mixture(units, weights)
 
 
@@ -266,10 +251,9 @@ def peak(c: Element, p: ExponentLike) -> Element:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """restarts, max_iters and seed are integers (TypeError otherwise, a
-    bool included); restarts and max_iters >= 1, seed >= 0 and tol >= 0
-    (ValueError otherwise); a nan or infinite tol raises
-    NonFiniteInputError."""
+    """restarts, max_iters and seed pass check_count (restarts and
+    max_iters >= 1, seed >= 0); a bool tol raises TypeError, a negative
+    one ValueError and a nan or infinite one NonFiniteInputError."""
 
     restarts: int = 64
     max_iters: int = 200
@@ -278,11 +262,9 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            check_count(name, getattr(self, name), low)
+        if isinstance(self.tol, bool):
+            raise TypeError(f"tol must be a real number, got {self.tol!r}")
         if not math.isfinite(self.tol):
             raise NonFiniteInputError(f"tol must be finite, got {self.tol}")
         if self.tol < 0.0:

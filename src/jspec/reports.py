@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import NonFiniteInputError, ReportError
+from .errors import NonFiniteInputError, ReportError, check_count
 from .exponents import ExtExponent
 from .linmaps import EstimatorConfig
 
@@ -61,12 +61,9 @@ class CampaignConfig:
 
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
-        for name in ("trials", "starts"):
-            if getattr(self, name) < 1:
-                raise ReportError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n < 2:
-            raise ReportError(f"n must be >= 2, got {self.n}")
-        try:  # the estimator settings obey EstimatorConfig's rules
+        try:  # the counts obey check_count, the estimator settings EstimatorConfig
+            for name, low in (("trials", 1), ("starts", 1), ("n", 2)):
+                check_count(name, getattr(self, name), low)
             EstimatorConfig(restarts=self.restarts, max_iters=self.max_iters, tol=self.tol, seed=self.seed)
         except (TypeError, ValueError, NonFiniteInputError) as exc:
             raise ReportError(str(exc)) from None

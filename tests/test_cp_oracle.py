@@ -75,7 +75,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("starts", [0, -1])
     def test_rejects_fewer_than_one_start(self, starts):
-        with pytest.raises(ValueError, match="need starts >= 1"):
+        with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
             cp_bruteforce(CpProblem(2, 1.5), starts=starts)
 
     def test_single_start_can_stall_below_optimum(self):
@@ -167,7 +167,7 @@ class TestAggregate:
             aggregate_split_check(math.inf, 2)
 
     def test_rejects_empty_vectors(self):
-        with pytest.raises(ValueError, match="need n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             aggregate_split_check(2.0, 0)
 
 

@@ -161,3 +161,5 @@ class TestSampling:
         assert not is_invertible(zero(algebra))
         spec = np.arange(algebra.rank, dtype=float)  # one zero eigenvalue
         assert not is_invertible(random_element(algebra, 47, spectrum=spec))
+        with pytest.raises(ValueError, match="tol"):  # nan < 0 is false, so nan needs its own check
+            is_invertible(unit(algebra), tol=math.nan)

@@ -359,6 +359,7 @@ class TestEstimatorConfig:
         ("tol", -1e-9, ValueError),
         ("tol", math.nan, NonFiniteInputError),
         ("tol", math.inf, NonFiniteInputError),
+        ("tol", True, TypeError),
     ])
     def test_rejects_bad_limits(self, field, value, error):
         with pytest.raises(error, match=field):

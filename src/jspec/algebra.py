@@ -183,8 +183,8 @@ class _MatrixFactor(_Factor):
         return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
 
     def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        q = dec[1]
-        return self.from_dense(np.einsum("...ik,...k,...jk->...ij", q, lam, q.conj()))
+        q = dec[1]  # q.conj() is q itself on a real array: a copy for the complex field only
+        return self.from_dense((q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2))
 
     def _haar(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
         """Haar-random unitaries of the field, shape shape + (k, k): QR of
@@ -211,18 +211,19 @@ class SymMatrix(_MatrixFactor):
     def __init__(self, k: int):
         super().__init__(k)
         self.dim = k * (k + 1) // 2
-        self._iu = np.triu_indices(k)
-        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, _SQRT2)
+        iu = np.triu_indices(k)
+        self._scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
+        # flat tables: the chart index of each dense entry, the dense index of each chart entry
+        at = np.empty((k, k), dtype=np.intp)
+        at[iu] = at[iu[::-1]] = np.arange(self.dim)
+        self._chart_at, self._dense_at = at.ravel(), iu[0] * k + iu[1]
 
     def to_dense(self, u: np.ndarray) -> np.ndarray:
-        x = np.zeros(u.shape[:-1] + (self.size, self.size))
-        vals = u / self._scale
-        x[..., self._iu[0], self._iu[1]] = vals
-        x[..., self._iu[1], self._iu[0]] = vals
-        return x
+        x = np.take(u / self._scale, self._chart_at, axis=-1)
+        return x.reshape(u.shape[:-1] + (self.size, self.size))
 
     def from_dense(self, x: np.ndarray) -> np.ndarray:
-        out = x[..., self._iu[0], self._iu[1]]  # a new array: scaled in place
+        out = np.take(x.reshape(x.shape[:-2] + (-1,)), self._dense_at, axis=-1)
         out *= self._scale
         return out
 

@@ -125,6 +125,8 @@ def p_norm(a: Element, p: ExponentLike) -> float:
 
 def is_invertible(a: Element, tol: float = 1e-12) -> bool:
     """True iff every eigenvalue exceeds tol in absolute value."""
+    if isinstance(tol, (bool, np.bool_)):
+        raise TypeError(f"tol must be a real number, got {tol!r}")
     if not tol >= 0.0:  # a nan tol fails this too
         raise ValueError(f"tol must be >= 0, got {tol}")
     lam = a.algebra.eigenvalues(a.coords)

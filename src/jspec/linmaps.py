@@ -167,7 +167,8 @@ def _peak_spectrum(lam: np.ndarray, p: ExtExponent):
         # work with |lambda| / max so q near the endpoints cannot overflow
         q = p.conjugate.value
         scaled = alam / np.where(ok, amax, 1.0)[..., None]
-        qnorm = np.where(ok, vector_pnorm(scaled, q), 1.0)
+        # each nonzero row of scaled has max 1.0, so this is vector_pnorm(scaled, q)
+        qnorm = np.where(ok, (scaled**q).sum(axis=-1) ** (1.0 / q), 1.0)
         lam_new = np.sign(lam) * (scaled / qnorm[..., None]) ** (q - 1.0)
         lam_new *= ok[..., None]
     return lam_new, ok
@@ -196,9 +197,10 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src:
     each extended to the end of the run of neighbouring outputs that share
     its last source row; this bounds the decomposition's temporaries (each
     output does not depend on its block). In a block, each distinct source
-    row is decomposed once, the spectral map runs once per distinct
-    exponent, and every output is rebuilt; so a row whose outputs are
-    neighbours, as when src is in row order, is decomposed once per call.
+    row is decomposed once, the spectral map runs once per exponent that
+    the block holds (not per entry of exps), and every output is rebuilt;
+    so a row whose outputs are neighbours, as when src is in row order, is
+    decomposed once per call.
     estimate_many's ascent calls it once per half-step, after that
     half-step's one matmul, with src in row order: in the first iteration
     several problems' outputs share a row, later each row is its own
@@ -227,10 +229,9 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src:
             at = np.searchsorted(rows, s)
             lam, decs = lam[at], [(dec[0][at], None if dec[1] is None else dec[1][at]) for dec in decs]
         lam_new, ok_sel = np.empty_like(lam), np.empty(len(sel), dtype=bool)
-        for k, p in enumerate(exps):
+        for k in _distinct(w):
             hit = w == k
-            if hit.any():
-                lam_new[hit], ok_sel[hit] = _peak_spectrum(lam[hit], p)
+            lam_new[hit], ok_sel[hit] = _peak_spectrum(lam[hit], exps[k])
         d[sel], ok[sel] = alg.rebuild(decs, lam_new), ok_sel
         del decs, lam, lam_new  # not held through the next block
     return d, ok
@@ -263,7 +264,7 @@ class EstimatorConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
-        if isinstance(self.tol, bool):
+        if isinstance(self.tol, (bool, np.bool_)):
             raise TypeError(f"tol must be a real number, got {self.tol!r}")
         if not math.isfinite(self.tol):
             raise NonFiniteInputError(f"tol must be finite, got {self.tol}")

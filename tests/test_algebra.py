@@ -270,20 +270,56 @@ class TestEigenvalueKernel:
 
 
 class TestDenseCodecs:
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    """The codecs equal the loop oracles bit for bit (the oracles divide and
+    multiply by sqrt(2) as the codecs do), on stacked (2, 3, dim) inputs."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 10])
     def test_sym_round_trip_against_oracle(self, k, rng):
-        from oracles import sym_chart_to_dense
+        from oracles import sym_chart_to_dense, sym_dense_to_chart
 
         fac = SymMatrix(k)
-        block = rng.standard_normal(fac.dim)
-        assert np.allclose(fac.to_dense(block), sym_chart_to_dense(block, k), atol=1e-15)
-        assert np.allclose(fac.from_dense(fac.to_dense(block)), block, atol=1e-15)
+        u = rng.standard_normal((2, 3, fac.dim))
+        dense = np.array([[sym_chart_to_dense(b, k) for b in row] for row in u])
+        assert np.array_equal(fac.to_dense(u), dense)
+        back = np.array([[sym_dense_to_chart(x, k) for x in row] for row in dense])
+        assert np.array_equal(fac.from_dense(fac.to_dense(u)), back)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     def test_herm_round_trip_against_oracle(self, k, rng):
-        from oracles import herm_chart_to_dense
+        from oracles import herm_chart_to_dense, herm_dense_to_chart
 
         fac = HermMatrix(k)
-        block = rng.standard_normal(fac.dim)
-        assert np.allclose(fac.to_dense(block), herm_chart_to_dense(block, k), atol=1e-15)
-        assert np.allclose(fac.from_dense(fac.to_dense(block)), block, atol=1e-15)
+        u = rng.standard_normal((2, 3, fac.dim))
+        dense = np.array([[herm_chart_to_dense(b, k) for b in row] for row in u])
+        assert np.array_equal(fac.to_dense(u), dense)
+        back = np.array([[herm_dense_to_chart(x, k) for x in row] for row in dense])
+        assert np.array_equal(fac.from_dense(fac.to_dense(u)), back)
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("desc", ["rn:3,spin:4,sym:3,herm:3", "sym:10", "herm:6"])
+    def test_matches_the_spectral_sum(self, desc, rng):
+        """rebuild(decs, f(lam)) is sum_j f(lam_j) c_j: for a matrix factor
+        the three-operand einsum q diag(f(lam)) q^H, for a spin factor
+        f(lam_0) c_+ + f(lam_1) c_- with c_+- = (1, +-w) / 2, for real lines
+        f(lam) itself."""
+        alg = parse_algebra(desc)
+        u = rng.standard_normal((2, 5, alg.dim))
+        lam, decs = alg.decomp(u)
+        flam = np.sign(lam) * np.abs(lam) ** 0.7
+        want = []
+        for f, dec, rsl in zip(alg.factors, decs, alg.rank_slices):
+            fl = flam[..., rsl]
+            if f.kind == "rn":
+                want.append(fl)
+            elif f.kind == "spin":
+                x0 = (fl[..., 0] + fl[..., 1]) / 2.0
+                xb = dec[1] * ((fl[..., 0] - fl[..., 1]) / 2.0)[..., None]
+                want.append(_SQRT2 * np.concatenate([x0[..., None], xb], axis=-1))
+            else:
+                q = dec[1]
+                want.append(f.from_dense(np.einsum("...ik,...k,...jk->...ij", q, fl, q.conj())))
+        want = np.concatenate(want, axis=-1)
+        got = alg.rebuild(decs, flam)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

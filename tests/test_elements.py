@@ -163,3 +163,6 @@ class TestSampling:
         assert not is_invertible(random_element(algebra, 47, spectrum=spec))
         with pytest.raises(ValueError, match="tol"):  # nan < 0 is false, so nan needs its own check
             is_invertible(unit(algebra), tol=math.nan)
+        for tol in (True, np.True_):  # not the number 1.0
+            with pytest.raises(TypeError, match="tol"):
+                is_invertible(unit(algebra), tol=tol)

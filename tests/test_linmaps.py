@@ -41,6 +41,7 @@ from jspec import (
     zero,
 )
 from jspec import linmaps
+from jspec.exponents import vector_pnorm
 from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
 from jspec.reports import DEFAULT_GRID
 from oracles import sym_chart_to_dense, sym_dense_to_chart
@@ -232,6 +233,45 @@ class TestPeak:
         assert ok[0]
         assert np.allclose(d.coords, algebra.rebuild(decs, lam_new)[0], rtol=0.0, atol=1e-15)
 
+    def test_finite_p_map_is_the_vector_pnorm_formula(self):
+        """At every grid exponent 1 < p < inf (q = 2 included), the spectral
+        map equals bit for bit the formula that takes the q-norm of the
+        max-scaled spectrum with vector_pnorm."""
+        rng = np.random.default_rng(53)
+        lam = rng.standard_normal((70, 5))
+        lam[::7] = 0.0
+        lam[1::7] = [2.5, -2.5, 2.5, 1.0, -2.5]  # repeated |lambda|, the max among them
+        lam[2::7, 1:] = lam[2::7, :1]
+        lam[3::7] *= 1e150
+        lam[4::7] *= 1e-150  # below _ZERO_EIG: a zero row
+        for p in (p for p in DEFAULT_GRID if 1.0 < p < math.inf):
+            q = conjugate(p).value
+            alam = np.abs(lam)
+            amax = alam.max(axis=-1)
+            ok = amax > linmaps._ZERO_EIG
+            scaled = alam / np.where(ok, amax, 1.0)[:, None]
+            qnorm = np.where(ok, vector_pnorm(scaled, q), 1.0)
+            want = np.sign(lam) * (scaled / qnorm[:, None]) ** (q - 1.0) * ok[:, None]
+            got, got_ok = _peak_spectrum(lam, ExtExponent(p))
+            assert np.array_equal(got_ok, ok)
+            assert got.tobytes() == want.tobytes(), p
+
+    def test_stack_maps_only_the_exponents_a_block_holds(self, algebra, monkeypatch):
+        """A 15-entry exponent table of which the block uses two: the map runs
+        for those two only, and every output has the bits of peak(c, p)."""
+        exps = [ExtExponent(float(p)) for p in np.linspace(1.1, 6.0, 13)]
+        exps += [ExtExponent(1.0), ExtExponent(math.inf)]
+        x = np.random.default_rng(59).standard_normal((12, algebra.dim))
+        which = np.where(np.arange(12) % 3 == 0, 13, 4)
+        mapped = []
+        real = linmaps._peak_spectrum
+        monkeypatch.setattr(linmaps, "_peak_spectrum", lambda lam, p: mapped.append(p) or real(lam, p))
+        d, ok = linmaps._peak_stack(algebra, x, exps, which)
+        assert mapped == [exps[4], exps[13]] and ok.all()
+        monkeypatch.undo()
+        for i in range(12):
+            assert d[i].tobytes() == peak(Element(algebra, x[i]), exps[which[i]]).coords.tobytes()
+
     def test_p1_tie_breaks_to_first_in_descending_order(self):
         alg = parse_algebra("rn:2")
         assert np.allclose(peak(Element(alg, np.array([-3.0, 3.0])), 1).coords, [0.0, 1.0])
@@ -360,6 +400,7 @@ class TestEstimatorConfig:
         ("tol", math.nan, NonFiniteInputError),
         ("tol", math.inf, NonFiniteInputError),
         ("tol", True, TypeError),
+        ("tol", np.True_, TypeError),  # not a bool instance
     ])
     def test_rejects_bad_limits(self, field, value, error):
         with pytest.raises(error, match=field):

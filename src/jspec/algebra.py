@@ -13,8 +13,9 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
                     sqrt(2) * (x0, xbar).
 * SymMatrix(k)   -- upper triangle in row-major order, off-diagonal
                     entries scaled by sqrt(2).
-* HermMatrix(k)  -- k real diagonal entries, then for each i<j the pair
-                    (sqrt(2)*Re A_ij, sqrt(2)*Im A_ij) in row-major order.
+* HermMatrix(k)  -- k real diagonal entries, then sqrt(2)*Re A_ij for
+                    each i<j in row-major order, then sqrt(2)*Im A_ij in
+                    the same order.
 
 Factor protocol: every factor has a kind, a descriptor size, dim and
 rank, and six kernels: unit_coords(), jordan(u, v), decomp(u) ->
@@ -31,7 +32,10 @@ that Algebra.rebuild takes. A frame is rebuild(decs, I): its primitive
 idempotent c_j is the element with eigenvalue vector e_j. The trace is
 tr(a) = <a, e>, so no factor carries a separate trace vector. Real
 symmetric and complex Hermitian matrices are one family, Herm_k(F), and
-share _MatrixFactor; only the scalar field and the chart differ.
+share _MatrixFactor; only the scalar field and the chart differ. Each
+matrix kind's chart is one _chart(k) table, which one to_dense and one
+from_dense read for both fields. parse_algebra reads descriptors such as
+'sym:2,spin:3': kind:size tokens, each size in ASCII digits.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -159,14 +163,45 @@ class Spin(_Factor):
 
 class _MatrixFactor(_Factor):
     """Self-adjoint k x k matrices over the scalar field `field` (float or
-    complex) with the symmetrized product (XY+YX)/2. Subclasses give the
-    chart: dim, to_dense and from_dense."""
+    complex) with the symmetrized product (XY+YX)/2. A subclass gives the
+    chart as one table, _chart(k) -> (i, j, part): chart entry c holds
+    part part[c] (0 real, 1 imaginary) of dense entry (i[c], j[c]), i <= j,
+    scaled by sqrt(2) off the diagonal. Both codecs read that table."""
 
     field: type
 
     def __init__(self, k: int):
         super().__init__(k)
         self.rank = k
+        i, j, part = self._chart(k)
+        self.dim = i.size
+        self._scale = np.where(i == j, 1.0, _SQRT2)
+        # float slots of the dense matrix's real view: 2 per entry for the complex field
+        width = 2 if self.field is complex else 1
+        upper, lower = (i * k + j) * width + part, (j * k + i) * width + part
+        at = np.zeros(k * k * width, dtype=np.intp)
+        at[upper] = at[lower] = np.arange(self.dim)
+        # every index is in range, so the gathers take mode="clip": faster than the default "raise"
+        self._dense_at, self._chart_at = upper, at
+        if self.field is complex:  # conjugate the lower triangle; zero the imaginary diagonal
+            self._sign = np.ones(at.size)
+            self._sign[lower[part == 1]] = -1.0
+            self._sign[1 :: 2 * (k + 1)] = 0.0
+
+    def to_dense(self, u: np.ndarray) -> np.ndarray:
+        x = np.take(u / self._scale, self._chart_at, axis=-1, mode="clip")
+        if self.field is complex:
+            x *= self._sign
+            x = x.view(complex)
+        return x.reshape(u.shape[:-1] + (self.size, self.size))
+
+    def from_dense(self, x: np.ndarray) -> np.ndarray:
+        if self.field is complex:
+            x = np.ascontiguousarray(x, dtype=complex).view(float)
+        flat = x.reshape(x.shape[:-2] + (self._chart_at.size,))  # a matrix of the wrong size raises
+        out = np.take(flat, self._dense_at, axis=-1, mode="clip")
+        out *= self._scale
+        return out
 
     def unit_coords(self) -> np.ndarray:
         return self.from_dense(np.eye(self.size, dtype=self.field))
@@ -203,61 +238,32 @@ class _MatrixFactor(_Factor):
 
 
 class SymMatrix(_MatrixFactor):
-    """Real symmetric k x k matrices."""
+    """Real symmetric k x k matrices. Chart: the upper triangle in
+    row-major order."""
 
     kind = "sym"
     field = float
 
-    def __init__(self, k: int):
-        super().__init__(k)
-        self.dim = k * (k + 1) // 2
-        iu = np.triu_indices(k)
-        self._scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-        # flat tables: the chart index of each dense entry, the dense index of each chart entry
-        at = np.empty((k, k), dtype=np.intp)
-        at[iu] = at[iu[::-1]] = np.arange(self.dim)
-        self._chart_at, self._dense_at = at.ravel(), iu[0] * k + iu[1]
-
-    def to_dense(self, u: np.ndarray) -> np.ndarray:
-        x = np.take(u / self._scale, self._chart_at, axis=-1)
-        return x.reshape(u.shape[:-1] + (self.size, self.size))
-
-    def from_dense(self, x: np.ndarray) -> np.ndarray:
-        out = np.take(x.reshape(x.shape[:-2] + (-1,)), self._dense_at, axis=-1)
-        out *= self._scale
-        return out
+    @staticmethod
+    def _chart(k: int):
+        i, j = np.triu_indices(k)
+        return i, j, np.zeros_like(i)
 
 
 class HermMatrix(_MatrixFactor):
-    """Complex Hermitian k x k matrices."""
+    """Complex Hermitian k x k matrices. Chart: the k diagonal entries,
+    then the real parts of the upper off-diagonal entries in row-major
+    order, then their imaginary parts in the same order."""
 
     kind = "herm"
     field = complex
 
-    def __init__(self, k: int):
-        super().__init__(k)
-        self.dim = k * k
-        self._iu = np.triu_indices(k, 1)
-        self._n_off = self._iu[0].size
-
-    def to_dense(self, u: np.ndarray) -> np.ndarray:
-        k = self.size
-        a = np.zeros(u.shape[:-1] + (k, k), dtype=complex)
-        diag = u[..., :k]
-        re = u[..., k : k + self._n_off] / _SQRT2
-        im = u[..., k + self._n_off :] / _SQRT2
-        a[..., np.arange(k), np.arange(k)] = diag
-        a[..., self._iu[0], self._iu[1]] = re + 1j * im
-        a[..., self._iu[1], self._iu[0]] = re - 1j * im
-        return a
-
-    def from_dense(self, a: np.ndarray) -> np.ndarray:
-        k = self.size
-        diag = a[..., np.arange(k), np.arange(k)].real
-        off = a[..., self._iu[0], self._iu[1]]
-        return np.concatenate(
-            [diag, off.real * _SQRT2, off.imag * _SQRT2], axis=-1
-        )
+    @staticmethod
+    def _chart(k: int):
+        d = np.arange(k)
+        i, j = np.triu_indices(k, 1)
+        part = np.repeat([0, 0, 1], [k, i.size, i.size])
+        return np.concatenate([d, i, i]), np.concatenate([d, j, j]), part
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,32 +366,24 @@ class Algebra:
 
 
 def parse_algebra(descriptor: str) -> Algebra:
-    """Parse the descriptor grammar, e.g. 'rn:5', 'spin:4', 'sym:2,spin:3'."""
-    factors: list = []
+    """Parse the descriptor grammar, e.g. 'rn:5', 'spin:4', 'sym:2,spin:3':
+    comma-separated kind:size tokens, each size in ASCII digits."""
+    kinds = {cls.kind: cls for cls in (RealLines, Spin, SymMatrix, HermMatrix)}
     if not descriptor or not descriptor.strip():
         raise DescriptorError("empty algebra descriptor")
+    factors: list = []
     for tok in descriptor.split(","):
         tok = tok.strip()
-        if ":" not in tok:
+        kind, colon, num = tok.partition(":")
+        kind, num = kind.strip().lower(), num.strip()
+        if not colon:
             raise DescriptorError(f"malformed factor {tok!r} (expected kind:size)")
-        kind, _, num = tok.partition(":")
-        kind = kind.strip().lower()
-        try:
-            size = int(num)
-        except ValueError:
-            raise DescriptorError(f"malformed factor size in {tok!r}") from None
-        if size < 1:
-            raise DescriptorError(f"factor size must be positive in {tok!r}")
-        if kind == "rn":
-            if factors and isinstance(factors[-1], RealLines):
-                size += factors.pop().size
-            factors.append(RealLines(size))
-        elif kind == "spin":
-            factors.append(Spin(size))
-        elif kind == "sym":
-            factors.append(SymMatrix(size))
-        elif kind == "herm":
-            factors.append(HermMatrix(size))
-        else:
+        if not (num.isascii() and num.isdigit()):
+            raise DescriptorError(f"malformed factor size in {tok!r} (expected ASCII digits)")
+        if kind not in kinds:
             raise DescriptorError(f"unknown factor kind {kind!r}")
+        fac = kinds[kind](int(num))  # checks the size against the kind's min_size
+        if isinstance(fac, RealLines) and factors and isinstance(factors[-1], RealLines):
+            fac = RealLines(factors.pop().size + fac.size)
+        factors.append(fac)
     return Algebra(tuple(factors))

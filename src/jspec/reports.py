@@ -183,7 +183,8 @@ def write_file(path, text: str) -> None:
 
 def check_writable(path) -> None:
     """Raise write_file's error now, creating nothing, if path is a
-    directory or its parent is not a writable directory."""
+    directory or a file that cannot be written, or its parent is not a
+    writable directory."""
     p = Path(path)
     parent = p.parent
     if p.is_dir():
@@ -192,6 +193,8 @@ def check_writable(path) -> None:
         reason = f"no directory {str(parent)!r}"
     elif not os.access(parent, os.W_OK):
         reason = f"directory {str(parent)!r} is not writable"
+    elif p.exists() and not os.access(p, os.W_OK):
+        reason = "file is not writable"
     else:
         return
     raise ReportError(f"cannot write output file: {str(path)!r}: {reason}")

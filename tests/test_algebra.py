@@ -57,7 +57,9 @@ class TestParsing:
         assert parse_algebra(" SYM:2 , spin:3 ").descriptor == "sym:2,spin:3"
 
     @pytest.mark.parametrize(
-        "bad", ["", "  ", "sym", "sym:x", "sym:0", "sym:-2", "quat:3", "spin:1", "sym:2;spin:3"]
+        "bad",
+        ["", "  ", "sym", "sym:x", "sym:0", "sym:-2", "quat:3", "spin:1", "sym:2;spin:3",
+         "sym:1_0", "spin:\u0663", "rn:+3", "rn:2,rn:0"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(DescriptorError):
@@ -294,6 +296,25 @@ class TestDenseCodecs:
         assert np.array_equal(fac.to_dense(u), dense)
         back = np.array([[herm_dense_to_chart(x, k) for x in row] for row in dense])
         assert np.array_equal(fac.from_dense(fac.to_dense(u)), back)
+
+    @pytest.mark.parametrize("cls", [SymMatrix, HermMatrix])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_strided_input(self, cls, k, rng):
+        """A column-strided chart view decodes as the loop oracle; strided
+        views of a dense stack (batch step, transpose, every other column
+        of a wider matrix) encode as their contiguous copies."""
+        from oracles import herm_chart_to_dense, sym_chart_to_dense
+
+        fac = cls(k)
+        oracle = sym_chart_to_dense if cls is SymMatrix else herm_chart_to_dense
+        u = rng.standard_normal((2, 3, 2 * fac.dim))[..., ::2]
+        assert not u.flags.c_contiguous
+        assert np.array_equal(fac.to_dense(u), [[oracle(b, k) for b in row] for row in u])
+        stack = fac.to_dense(rng.standard_normal((4, 3, fac.dim)))
+        wide = np.zeros((4, 3, k, 2 * k), dtype=stack.dtype)
+        wide[..., ::2] = stack
+        for x in (stack[::2], stack.swapaxes(-1, -2), wide[..., ::2]):
+            assert np.array_equal(fac.from_dense(x), fac.from_dense(np.ascontiguousarray(x)))
 
 
 class TestRebuild:

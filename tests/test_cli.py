@@ -128,6 +128,21 @@ class TestRun:
         assert "cannot write output file" in captured.err and str(path) in captured.err
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [("run", "--suite", "ftvn", "--trials", "5", "--out"),
+                                      ("cp-table", "--grid", "2", "--starts", "4", "--csv")],
+                             ids=["run-out", "cp-table-csv"])
+    def test_unwritable_file_exits_before_the_run(self, tmp_path, capsys, monkeypatch, argv):
+        # root may write any file whatever its mode, so os.access is told to refuse this one
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        access = reports.os.access
+        monkeypatch.setattr(reports.os, "access", lambda p, mode: p != path and access(p, mode))
+        assert run_cli(*argv, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output file" in captured.err and "file is not writable" in captured.err
+        assert path.read_text() == "old"
+
     def test_writable_check_creates_nothing(self, tmp_path):
         reports.check_writable(tmp_path / "report.json")
         assert sorted(tmp_path.iterdir()) == []

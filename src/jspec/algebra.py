@@ -19,23 +19,23 @@ Chart conventions (the sqrt(2) scalings make the chart orthonormal):
 
 Factor protocol: every factor has a kind, a descriptor size, dim and
 rank, and six kernels: unit_coords(), jordan(u, v), decomp(u) ->
-(eigenvalues, basis), eigvals(u), rebuild(dec, lam) and random_dec(rng,
-shape) -> (None, basis), the basis half of decomp for a random Jordan
-frame per index of shape. eigvals(u) is decomp(u)[0] computed without
-the Jordan frame; norms and trace inequalities need only eigenvalues, so
-they never pay for eigenvectors. A RealLines block gives its eigenvalues
-in chart order (they are its coordinates, and its basis is None); every
-other factor gives them descending. Algebra.decomp(u) has the same
-shape, (eigenvalues, decs): the factors' eigenvalues concatenated, as
-Algebra.eigenvalues gives them, and the list of factor decompositions
-that Algebra.rebuild takes. A frame is rebuild(decs, I): its primitive
-idempotent c_j is the element with eigenvalue vector e_j. The trace is
-tr(a) = <a, e>, so no factor carries a separate trace vector. Real
-symmetric and complex Hermitian matrices are one family, Herm_k(F), and
-share _MatrixFactor; only the scalar field and the chart differ. Each
-matrix kind's chart is one _chart(k) table, which one to_dense and one
-from_dense read for both fields. parse_algebra reads descriptors such as
-'sym:2,spin:3': kind:size tokens, each size in ASCII digits.
+(eigenvalues, basis), eigvals(u), rebuild(basis, lam) and
+random_basis(rng, shape), the basis of a random Jordan frame per index
+of shape. eigvals(u) is decomp(u)[0] computed without the Jordan frame;
+norms and trace inequalities need only eigenvalues, so they never pay
+for eigenvectors. A RealLines block gives its eigenvalues in chart order
+(they are its coordinates, and its basis is None); every other factor
+gives them descending. Algebra.decomp(u) returns (eigenvalues, bases):
+the factors' eigenvalues concatenated, as Algebra.eigenvalues gives
+them, and the list of factor bases that Algebra.rebuild takes. A frame
+is rebuild(bases, I): its primitive idempotent c_j is the element with
+eigenvalue vector e_j. The trace is tr(a) = <a, e>, so no factor
+carries a separate trace vector. Real symmetric and complex Hermitian
+matrices are one family, Herm_k(F), and share _MatrixFactor; only the
+scalar field and the chart differ. Each matrix kind's chart is one
+_chart(k) table, which one to_dense and one from_dense read for both
+fields. parse_algebra reads descriptors such as 'sym:2,spin:3':
+kind:size tokens, each size in ASCII digits.
 
 All kernels are batched: coordinate arrays have shape (..., dim) and the
 leading axes broadcast.
@@ -99,11 +99,11 @@ class RealLines(_Factor):
     def eigvals(self, u: np.ndarray) -> np.ndarray:
         return u
 
-    def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
+    def rebuild(self, basis, lam: np.ndarray) -> np.ndarray:
         return lam
 
-    def random_dec(self, rng: np.random.Generator, shape: tuple):
-        return None, None
+    def random_basis(self, rng: np.random.Generator, shape: tuple):
+        return None
 
 
 class Spin(_Factor):
@@ -150,15 +150,14 @@ class Spin(_Factor):
         x0, _, rho = self._center_radius(u)
         return np.stack([x0 + rho, x0 - rho], axis=-1)
 
-    def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        w = dec[1]
+    def rebuild(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x0 = (lam[..., 0] + lam[..., 1]) / 2.0
         xb = w * ((lam[..., 0] - lam[..., 1]) / 2.0)[..., None]
         return np.concatenate([x0[..., None], xb], axis=-1) * _SQRT2
 
-    def random_dec(self, rng: np.random.Generator, shape: tuple):
+    def random_basis(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
         w = rng.standard_normal(shape + (self.dim - 1,))
-        return None, w / np.linalg.norm(w, axis=-1, keepdims=True)
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 class _MatrixFactor(_Factor):
@@ -217,11 +216,11 @@ class _MatrixFactor(_Factor):
     def eigvals(self, u: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(self.to_dense(u))[..., ::-1]
 
-    def rebuild(self, dec, lam: np.ndarray) -> np.ndarray:
-        q = dec[1]  # q.conj() is q itself on a real array: a copy for the complex field only
+    def rebuild(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        # q.conj() is q itself on a real array: a copy for the complex field only
         return self.from_dense((q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2))
 
-    def _haar(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    def random_basis(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
         """Haar-random unitaries of the field, shape shape + (k, k): QR of
         a Gaussian matrix with the phases of R's diagonal moved into Q
         (Mezzadri 2007); batched or not, each matrix is drawn the same way."""
@@ -232,9 +231,6 @@ class _MatrixFactor(_Factor):
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         return q * (d / np.abs(d))[..., None, :]
-
-    def random_dec(self, rng: np.random.Generator, shape: tuple):
-        return None, self._haar(rng, shape)
 
 
 class SymMatrix(_MatrixFactor):
@@ -324,10 +320,10 @@ class Algebra:
         return out
 
     def decomp(self, coords: np.ndarray) -> tuple[np.ndarray, list]:
-        """(eigenvalues, decs): the eigenvalue vector as eigenvalues(coords)
-        lays it out, and each factor's decomp for rebuild."""
-        decs = [f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)]
-        return np.concatenate([d[0] for d in decs], axis=-1), decs
+        """(eigenvalues, bases): the eigenvalue vector as eigenvalues(coords)
+        lays it out, and each factor's basis for rebuild."""
+        lams, bases = zip(*(f.decomp(coords[..., sl]) for f, sl in zip(self.factors, self.slices)))
+        return np.concatenate(lams, axis=-1), list(bases)
 
     def eigenvalues(self, coords: np.ndarray) -> np.ndarray:
         """Eigenvalue vector per batch entry, factor-concatenated: an rn
@@ -337,31 +333,28 @@ class Algebra:
             [f.eigvals(coords[..., sl]) for f, sl in zip(self.factors, self.slices)], axis=-1
         )
 
-    def rebuild(self, decs: list, lam: np.ndarray) -> np.ndarray:
-        parts = [
-            f.rebuild(d, lam[..., rsl])
-            for f, d, rsl in zip(self.factors, decs, self.rank_slices)
-        ]
+    def rebuild(self, bases: list, lam: np.ndarray) -> np.ndarray:
+        parts = [f.rebuild(b, lam[..., rsl]) for f, b, rsl in zip(self.factors, bases, self.rank_slices)]
         return np.concatenate(parts, axis=-1)
 
     def random_frame(self, rng: np.random.Generator) -> np.ndarray:
         """A random Jordan frame, shape (rank, dim), row j rebuilt at e_j;
         C-ordered, so products with it take one BLAS path on every algebra."""
-        decs = [f.random_dec(rng, ()) for f in self.factors]
-        return np.ascontiguousarray(self.rebuild(decs, np.eye(self.rank)))
+        bases = [f.random_basis(rng, ()) for f in self.factors]
+        return np.ascontiguousarray(self.rebuild(bases, np.eye(self.rank)))
 
     def random_idempotents(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count primitive idempotents, shape (count, dim): each is row j of
         its own random Jordan frame, j uniform over the rank, with only
         that row rebuilt. Draw order: the count j's, then each factor's
-        random_dec for the rows that fall in it, factor by factor."""
+        random_basis for the rows that fall in it, factor by factor."""
         picks = rng.integers(self.rank, size=count)
         out = np.zeros((count, self.dim))
         for f, sl, rsl in zip(self.factors, self.slices, self.rank_slices):
             at = np.flatnonzero((picks >= rsl.start) & (picks < rsl.stop))
             if at.size:
                 lam = np.eye(f.rank)[picks[at] - rsl.start]
-                out[at, sl] = f.rebuild(f.random_dec(rng, (at.size,)), lam)
+                out[at, sl] = f.rebuild(f.random_basis(rng, (at.size,)), lam)
         return out
 
 

@@ -107,9 +107,9 @@ def eigenvalues(a: Element) -> np.ndarray:
 def _sorted_spectrum(a: Element) -> tuple[np.ndarray, np.ndarray]:
     """a's eigenvalues and its Jordan frame as chart rows, shape (rank,)
     and (rank, dim), in stable decreasing order of the eigenvalues."""
-    lam, decs = a.algebra.decomp(a.coords)
+    lam, bases = a.algebra.decomp(a.coords)
     order = np.argsort(-lam, kind="stable")
-    return lam[order], a.algebra.rebuild(decs, np.eye(a.algebra.rank))[order]
+    return lam[order], a.algebra.rebuild(bases, np.eye(a.algebra.rank))[order]
 
 
 def spectral_decomposition(a: Element) -> SpectralDecomposition:

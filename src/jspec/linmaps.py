@@ -13,7 +13,7 @@ not a claim of global optimality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -224,16 +224,16 @@ def _peak_stack(alg: Algebra, x: np.ndarray, exps: list, which: np.ndarray, src:
         sel, lo = rest[lo:hi], hi
         s, w = src[sel], which[sel]
         rows = _distinct(s)
-        lam, decs = alg.decomp(x[rows])
+        lam, bases = alg.decomp(x[rows])
         if len(rows) < len(s):
             at = np.searchsorted(rows, s)
-            lam, decs = lam[at], [(dec[0][at], None if dec[1] is None else dec[1][at]) for dec in decs]
+            lam, bases = lam[at], [None if b is None else b[at] for b in bases]
         lam_new, ok_sel = np.empty_like(lam), np.empty(len(sel), dtype=bool)
         for k in _distinct(w):
             hit = w == k
             lam_new[hit], ok_sel[hit] = _peak_spectrum(lam[hit], exps[k])
-        d[sel], ok[sel] = alg.rebuild(decs, lam_new), ok_sel
-        del decs, lam, lam_new  # not held through the next block
+        d[sel], ok[sel] = alg.rebuild(bases, lam_new), ok_sel
+        del bases, lam, lam_new  # not held through the next block
     return d, ok
 
 
@@ -291,24 +291,22 @@ class NormEstimate:
     stop: str
 
 
-def _starts(alg: Algebra, mat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, float]:
-    """Start rows before normalization: the unit, the top right singular
-    vector, primitive idempotents of random frames, then Gaussians; all
-    draws come from one generator default_rng(cfg.seed), the frames in one
-    Algebra.random_idempotents call (one batched QR per matrix factor)
-    and the Gaussian rows in one call after them. The rows depend only on
-    the algebra, mat, cfg.seed and cfg.restarts. Also returns
-    sigma_max(mat), from the same SVD."""
-    rng = np.random.default_rng(cfg.seed)
-    n_sparse = min(cfg.restarts, 2 + cfg.restarts // 4)
-    _, sv, vt = np.linalg.svd(mat)
+def _starts(alg: Algebra, top: np.ndarray, seed: int, restarts: int) -> np.ndarray:
+    """Start rows before normalization: the unit, the map's top right
+    singular vector top, primitive idempotents of random frames, then
+    Gaussians; all draws come from one generator default_rng(seed), the
+    frames in one Algebra.random_idempotents call (one batched QR per
+    matrix factor) and the Gaussian rows in one call after them. The rows
+    depend only on the algebra, top, seed and restarts."""
+    rng = np.random.default_rng(seed)
+    n_sparse = min(restarts, 2 + restarts // 4)
     rows = np.concatenate([
         alg.unit_coords()[None],
-        vt[:1],
+        top[None],
         alg.random_idempotents(rng, max(0, n_sparse - 2)),
-        rng.standard_normal((cfg.restarts - n_sparse, alg.dim)),
+        rng.standard_normal((restarts - n_sparse, alg.dim)),
     ])
-    return rows[:cfg.restarts], float(sv[0])
+    return rows[:restarts]
 
 
 def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
@@ -319,7 +317,9 @@ def estimate_many(problems: Sequence[tuple]) -> list[NormEstimate]:
     algebra, and cfg.restarts, cfg.max_iters and cfg.tol agree across
     problems (ValueError otherwise). Problems with the same map bytes,
     exponents and cfg are solved once and share one estimate; the call
-    keeps one matrix per distinct map. The restarts of all distinct
+    keeps one matrix per distinct map and takes one stacked SVD of them,
+    which gives each map's sigma_max and top right singular vector for
+    every problem on it. The restarts of all distinct
     problems form one (problems, restarts, dim) stack. Since
     ||T*||_{s'->r'} = ||T||_{r->s}, both half-steps are one step: a -> b
     peaks T a in the s' ball, b -> a peaks T* b in the r ball, and each
@@ -401,12 +401,13 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
 
     out: list = [None] * len(probs)
     live = []
+    zero = ~maps.any(axis=(1, 2))
     for i, (m, rex, sex, _) in enumerate(probs):
-        if np.any(maps[m]):
-            live.append(i)
-        else:
+        if zero[m]:
             wa, wb = Element(alg, unit_at(rex)), Element(alg, unit_at(sex.conjugate))
             out[i] = NormEstimate(0.0, wa, wb, 0, True, "zero-map")
+        else:
+            live.append(i)
     if not live:
         return out
 
@@ -419,23 +420,26 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
     r_k = np.array([exps.index(probs[i][1]) for i in live])
     sp_k = np.array([exps.index(probs[i][2].conjugate) for i in live])
     mk = np.array([probs[i][0] for i in live])  # each problem's map
+    # one SVD per map gives its sigma_max and top right singular vector
+    sv, vt = np.linalg.svd(maps)[1:]
     # problems on one map with one seed share their start rows: groups maps
     # (seed, map) to a start group, member each problem to its group
     groups: dict = {}
     member = np.array([groups.setdefault((probs[i][3].seed, probs[i][0]), len(groups)) for i in live])
-    drawn = [_starts(alg, maps[m], replace(cfg, seed=seed)) for seed, m in groups]
-    starts = np.stack([rows for rows, _ in drawn])
+    starts = np.stack([_starts(alg, vt[m, 0], seed, cfg.restarts) for seed, m in groups])
+    del vt
     lam = alg.eigenvalues(starts)
     norm = np.empty((len(live), cfg.restarts))  # each start row's ||.||_r
+    for k in _distinct(r_k):
+        hit = r_k == k
+        norm[hit] = vector_pnorm(lam[member[hit]], exps[k])
+    del lam
     cert = np.empty(len(live))  # a best value at or above this is certified
     for j, i in enumerate(live):
-        _, rex, sex, _ = probs[i]
-        norm[j] = vector_pnorm(lam[member[j]], rex)
-        sigma = drawn[member[j]][1]
-        upper = sigma * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
+        m, rex, sex, _ = probs[i]
+        upper = float(sv[m, 0]) * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
         cert[j] = upper - cfg.tol * max(1.0, upper)
     a_rows = starts[member] / norm[..., None]
-    del lam, drawn
     b_rows = np.repeat(units[sp_k][:, None, :], cfg.restarts, axis=1)
     values = np.full((len(live), cfg.restarts), -np.inf)
     stall = np.zeros(values.shape, dtype=int)
@@ -574,10 +578,10 @@ def closed_form_norm(
         if a is None:
             raise UnsupportedCaseError(f"kind {kind!r} needs the defining element a")
         sq = kind == "quadratic"
-        base = jordan_product(a, a) if sq else a
         top = p_norm(a, "inf") ** (2 if sq else 1)
         if rex.value <= sex.value:
             return ClosedForm.of_exact(top)
+        base = jordan_product(a, a) if sq else a
         if rex.is_inf:
             return ClosedForm.of_exact(p_norm(base, sex))
         if sex.value == 1.0:

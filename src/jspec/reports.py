@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
+from .algebra import parse_algebra
 from .errors import NonFiniteInputError, ReportError, check_count
 from .exponents import ExtExponent
 from .linmaps import EstimatorConfig
@@ -74,6 +75,8 @@ class CampaignConfig:
         if not grid:
             raise ReportError("grid must be nonempty")
         object.__setattr__(self, "grid", grid)
+        # one campaign, one echo: the canonical descriptor (a bad one raises DescriptorError)
+        object.__setattr__(self, "algebra", parse_algebra(self.algebra).descriptor)
 
     @property
     def exponents(self) -> tuple:

@@ -137,16 +137,15 @@ class TestSpectral:
 
     def test_rebuild_reconstructs(self, algebra, rng):
         u = rng.standard_normal((50, algebra.dim))
-        lam, decs = algebra.decomp(u)
-        back = algebra.rebuild(decs, lam)
+        lam, bases = algebra.decomp(u)
+        back = algebra.rebuild(bases, lam)
         assert np.allclose(back, u, atol=1e-10)
 
     def test_frames_are_orthonormal_idempotent_complete(self, algebra, rng):
         u = rng.standard_normal((20, algebra.dim))
-        _, decs = algebra.decomp(u)
-        frames = np.stack([  # (20, rank, dim): row i's frame is rebuild(dec_i, I)
-            algebra.rebuild([(lam[i], None if q is None else q[i]) for lam, q in decs],
-                            np.eye(algebra.rank))
+        _, bases = algebra.decomp(u)
+        frames = np.stack([  # (20, rank, dim): row i's frame is rebuild(bases_i, I)
+            algebra.rebuild([None if q is None else q[i] for q in bases], np.eye(algebra.rank))
             for i in range(len(u))
         ])
         # completeness
@@ -182,7 +181,7 @@ class TestSpectral:
     @pytest.mark.parametrize("desc", ["sym:3", "rn:6", "rn:2,sym:3,sym:2"])
     def test_random_frames_match_the_outer_product_formula(self, desc):
         """On real factors, random_frame and random_idempotents are bit for
-        bit the q_j q_j^T outer products of the same _haar draws, and the
+        bit the q_j q_j^T outer products of the same random_basis draws, and the
         frame comes back C-ordered."""
         alg = parse_algebra(desc)
 
@@ -193,7 +192,7 @@ class TestSpectral:
         want = np.zeros((alg.rank, alg.dim))
         ref = np.random.default_rng(7)
         for f, sl, rsl in zip(alg.factors, alg.slices, alg.rank_slices):
-            want[rsl, sl] = np.eye(f.rank) if f.kind == "rn" else outer(f, f._haar(ref, ()))
+            want[rsl, sl] = np.eye(f.rank) if f.kind == "rn" else outer(f, f.random_basis(ref, ()))
         got = alg.random_frame(np.random.default_rng(7))
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
@@ -206,7 +205,7 @@ class TestSpectral:
             if f.kind == "rn":
                 want[at, sl] = np.eye(f.rank)[cols]
             elif at.size:
-                want[at, sl] = outer(f, f._haar(ref, (at.size,)))[np.arange(at.size), cols]
+                want[at, sl] = outer(f, f.random_basis(ref, (at.size,)))[np.arange(at.size), cols]
         rng = np.random.default_rng(7)
         alg.random_frame(rng)
         assert alg.random_idempotents(rng, 40).tobytes() == want.tobytes()
@@ -219,8 +218,8 @@ class TestSpectral:
 
     def test_spin_zero_vector_part_frame(self):
         alg = parse_algebra("spin:4")
-        _, decs = alg.decomp(alg.unit_coords())
-        frames = alg.rebuild(decs, np.eye(alg.rank))
+        _, bases = alg.decomp(alg.unit_coords())
+        frames = alg.rebuild(bases, np.eye(alg.rank))
         assert np.allclose(frames.sum(axis=0), alg.unit_coords(), atol=1e-14)
 
 
@@ -320,27 +319,27 @@ class TestDenseCodecs:
 class TestRebuild:
     @pytest.mark.parametrize("desc", ["rn:3,spin:4,sym:3,herm:3", "sym:10", "herm:6"])
     def test_matches_the_spectral_sum(self, desc, rng):
-        """rebuild(decs, f(lam)) is sum_j f(lam_j) c_j: for a matrix factor
+        """rebuild(bases, f(lam)) is sum_j f(lam_j) c_j: for a matrix factor
         the three-operand einsum q diag(f(lam)) q^H, for a spin factor
         f(lam_0) c_+ + f(lam_1) c_- with c_+- = (1, +-w) / 2, for real lines
         f(lam) itself."""
         alg = parse_algebra(desc)
         u = rng.standard_normal((2, 5, alg.dim))
-        lam, decs = alg.decomp(u)
+        lam, bases = alg.decomp(u)
         flam = np.sign(lam) * np.abs(lam) ** 0.7
         want = []
-        for f, dec, rsl in zip(alg.factors, decs, alg.rank_slices):
+        for f, basis, rsl in zip(alg.factors, bases, alg.rank_slices):
             fl = flam[..., rsl]
             if f.kind == "rn":
                 want.append(fl)
             elif f.kind == "spin":
                 x0 = (fl[..., 0] + fl[..., 1]) / 2.0
-                xb = dec[1] * ((fl[..., 0] - fl[..., 1]) / 2.0)[..., None]
+                xb = basis * ((fl[..., 0] - fl[..., 1]) / 2.0)[..., None]
                 want.append(_SQRT2 * np.concatenate([x0[..., None], xb], axis=-1))
             else:
-                q = dec[1]
+                q = basis
                 want.append(f.from_dense(np.einsum("...ik,...k,...jk->...ij", q, fl, q.conj())))
         want = np.concatenate(want, axis=-1)
-        got = alg.rebuild(decs, flam)
+        got = alg.rebuild(bases, flam)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

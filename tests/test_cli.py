@@ -58,6 +58,18 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_echoes_the_canonical_descriptor(self, tmp_path):
+        # one campaign, one report: each spelling of sym:2 (and of rn:5)
+        # echoes the canonical descriptor, so all write one checksum
+        reps = {}
+        for desc in ("sym:2", "SYM:02", " sym : 2 ", "rn:5", "rn:2,rn:3"):
+            out = tmp_path / f"{len(reps)}.json"
+            assert run_cli("run", "--suite", "ftvn", "--algebra", desc, "--trials", "2", "--out", str(out)) == 0
+            reps[desc] = load_report(out)
+        for typed, canonical in (("SYM:02", "sym:2"), (" sym : 2 ", "sym:2"), ("rn:2,rn:3", "rn:5")):
+            assert reps[typed].config["algebra"] == canonical
+            assert reps[typed].checksum == reps[canonical].checksum
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--suite", "nope")

@@ -1,4 +1,5 @@
-"""scripts/kernel_times.py: one JSON line of per-row kernel times per checkout."""
+"""scripts/kernel_times.py: one JSON line of per-row kernel times and the
+per-problem time of one estimator call, per checkout."""
 
 import importlib.util
 import json
@@ -18,10 +19,11 @@ def test_one_algebra_both_sides(capsys):
                               "--algebras", "rn:2,spin:3"]) == 0
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert result["reps"] == 1 and list(result["algebras"]) == ["rn:2,spin:3"]
+    assert result["unit"]["estimate"] == "us per problem" and result["unit"]["decomp"] == "us per row"
     entry = result["algebras"]["rn:2,spin:3"]
     assert entry["rows"] == _PEAK_FLOATS // 5  # one _peak_stack block of a dim-5 algebra
     for side in ("parent", "change"):
-        assert set(entry[side]) == {"decomp", "rebuild", "peak.p1", "peak.p4/3", "peak.pinf"}
+        assert set(entry[side]) == {"decomp", "rebuild", "peak.p1", "peak.p4/3", "peak.pinf", "estimate"}
         assert all(v > 0.0 for v in entry[side].values())
 
     assert kernel_times.main(["--change", str(_ROOT), "--reps", "1", "--algebras", "rn:2"]) == 0

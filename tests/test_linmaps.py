@@ -44,6 +44,7 @@ from jspec import linmaps
 from jspec.exponents import vector_pnorm
 from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
 from jspec.reports import DEFAULT_GRID
+from conftest import P_GRID
 from oracles import sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
@@ -228,10 +229,10 @@ class TestPeak:
         c = random_element(algebra, 29)
         d = peak(c, 2)
         assert np.allclose(d.coords, c.coords / np.linalg.norm(c.coords), rtol=0.0, atol=1e-15)
-        lam, decs = algebra.decomp(c.coords[None, :])
+        lam, bases = algebra.decomp(c.coords[None, :])
         lam_new, ok = _peak_spectrum(lam, ExtExponent(2.0))
         assert ok[0]
-        assert np.allclose(d.coords, algebra.rebuild(decs, lam_new)[0], rtol=0.0, atol=1e-15)
+        assert np.allclose(d.coords, algebra.rebuild(bases, lam_new)[0], rtol=0.0, atol=1e-15)
 
     def test_finite_p_map_is_the_vector_pnorm_formula(self):
         """At every grid exponent 1 < p < inf (q = 2 included), the spectral
@@ -489,6 +490,41 @@ class TestEstimateMany:
             estimate_many([(t, r, s, cfg) for r in DEFAULT_GRID for s in DEFAULT_GRID])
             assert sum(decomp_rows) == r_count + 6 * r_count, descriptor
 
+    def test_one_svd_per_call(self, monkeypatch):
+        # gate test_02's shape: the multiplication and quadratic maps of one
+        # element, 44 problems each, every problem on its own seed. One
+        # stacked SVD serves all 88 (one per start group would be 88), its
+        # sigma_max is the one-map SVD's, and each result is the problem's
+        # solo result bit for bit
+        alg = parse_algebra("sym:3")
+        a = random_element(alg, 88)
+        maps = (lyapunov(a), quadratic_rep(a))
+        cases = [(t, r, s) for t in maps for p in P_GRID for r, s in ((p, p), (p, 1))]
+        cases += [(t, r, s) for t in maps for i, r in enumerate(P_GRID) for s in P_GRID[i + 1:]]
+        cfg = replace(FAST, restarts=8, max_iters=10)
+        problems = [(t, r, s, replace(cfg, seed=ci)) for ci, (t, r, s) in enumerate(cases)]
+        assert len(problems) == 88
+        real_svd = np.linalg.svd
+        calls = []
+
+        def svd_spy(x, *args, **kwargs):
+            out = real_svd(x, *args, **kwargs)
+            calls.append((np.shape(x), out[1][..., 0]))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        batch = estimate_many(problems)
+        assert len(calls) == 1, f"{len(calls)} SVD calls"
+        (shape, sigma), = calls
+        assert shape == (2, alg.dim, alg.dim)
+        assert sigma.tolist() == [real_svd(t.matrix)[1][0] for t in maps]
+        for prob, got in zip(problems, batch):
+            want = op_norm_estimate(*prob)
+            assert (got.lower_bound, got.iterations, got.converged, got.stop) == (
+                want.lower_bound, want.iterations, want.converged, want.stop)
+            assert np.array_equal(got.witness_a.coords, want.witness_a.coords)
+            assert np.array_equal(got.witness_b.coords, want.witness_b.coords)
+
     @pytest.mark.parametrize("floats", [1, 50])
     def test_results_do_not_depend_on_peak_blocks(self, monkeypatch, floats):
         # 1 float: one output per block, each extended to the end of its
@@ -519,16 +555,20 @@ class TestEstimateMany:
             estimate_many([(t2, 2, 2, FAST), (t3, 2, 2, FAST)])
 
 
+def _top(t):
+    """t's top right singular vector."""
+    return np.linalg.svd(t.matrix)[2][0]
+
+
 class TestStarts:
     def test_start_invariants(self, algebra):
         t = random_map(algebra, 98)
-        cfg = replace(FAST, restarts=32, seed=3)
-        rows, sigma = _starts(algebra, t.matrix, cfg)
-        _, sv, vt = np.linalg.svd(t.matrix)
-        n_sparse = 2 + cfg.restarts // 4
-        assert rows.shape == (cfg.restarts, algebra.dim)
+        top = _top(t)
+        rows = _starts(algebra, top, 3, 32)
+        n_sparse = 2 + 32 // 4
+        assert rows.shape == (32, algebra.dim)
         assert np.array_equal(rows[0], algebra.unit_coords())
-        assert np.array_equal(rows[1], vt[0]) and sigma == sv[0]
+        assert np.array_equal(rows[1], top)
         frames = rows[2:n_sparse]
         assert np.allclose(algebra.jordan(frames, frames), frames, atol=1e-12)
         assert np.allclose(algebra.trace(frames), 1.0, atol=1e-12)
@@ -538,32 +578,44 @@ class TestStarts:
     def test_few_restarts(self, restarts):
         alg = parse_algebra("herm:2")
         t = random_map(alg, 99)
-        rows, _ = _starts(alg, t.matrix, replace(FAST, restarts=restarts))
+        rows = _starts(alg, _top(t), FAST.seed, restarts)
         assert rows.shape == (restarts, alg.dim)
         assert np.array_equal(rows[0], alg.unit_coords())
 
     def test_starts_depend_on_map_and_seed_alone(self, monkeypatch, algebra):
-        # the rows a problem starts from are the same alone and in a batch
-        # of other maps, seeds and exponents
-        drawn = []
+        # the rows a problem starts from, and its map's sigma_max, are the
+        # same alone and in a batch of other maps, seeds and exponents
+        drawn, sigmas = [], {}
+        real_svd = np.linalg.svd
 
-        def spy(alg, mat, cfg):
-            rows, sigma = _starts(alg, mat, cfg)
-            drawn.append(((mat.tobytes(), cfg.seed), rows, sigma))
-            return rows, sigma
+        def spy(alg, top, seed, restarts):
+            rows = _starts(alg, top, seed, restarts)
+            drawn.append(((top.tobytes(), seed), rows))
+            return rows
+
+        def svd_spy(a, *args, **kwargs):  # sigma_max of each map in the call, by map bytes
+            out = real_svd(a, *args, **kwargs)
+            for mat, sv in zip(a, out[1]):
+                sigmas.setdefault(mat.tobytes(), []).append(sv[0])
+            return out
 
         monkeypatch.setattr(linmaps, "_starts", spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
         t, u = random_map(algebra, 100), random_map(algebra, 101)
         cfg = replace(FAST, restarts=12, max_iters=2)
         problems = [(t, 1, 3, cfg), (u, 2, "inf", cfg), (t, 3, 1.5, replace(cfg, seed=4)), (u, 1, 1, cfg)]
         estimate_many(problems)
-        batch = {key: (rows, sigma) for key, rows, sigma in drawn}
+        batch = dict(drawn)
         assert len(drawn) == len(batch) == 3  # one draw per map and seed
+        assert {m.tobytes() for m in (t.matrix, u.matrix)} == set(sigmas)  # one sigma per map
+        batch_sigma = {key: sv for key, (sv,) in sigmas.items()}
         for prob in problems:
             drawn.clear()
+            sigmas.clear()
             op_norm_estimate(*prob)
-            (key, rows, sigma), = drawn
-            assert np.array_equal(rows, batch[key][0]) and sigma == batch[key][1]
+            (key, rows), = drawn
+            assert np.array_equal(rows, batch[key])
+            assert sigmas == {prob[0].matrix.tobytes(): [batch_sigma[prob[0].matrix.tobytes()]]}
 
 
 STOPS = ["zero-map", "stalled", "patience", "max_iters", "certified"]
@@ -599,7 +651,7 @@ def _reference_restarts(t, r, s, cfg, iterations):
     rex, sp = ExtExponent.coerce(r), ExtExponent.coerce(s).conjugate
     e = unit(alg)
     out = []
-    for row in _starts(alg, m, cfg)[0]:
+    for row in _starts(alg, _top(t), cfg.seed, cfg.restarts):
         a = row / p_norm(Element(alg, row), rex)
         b = e.coords / p_norm(e, sp)
         value, stall = -math.inf, 0

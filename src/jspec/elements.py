@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Algebra
-from .errors import AlgebraMismatchError, real_array
+from .errors import AlgebraMismatchError, check_tol, real_array
 from .exponents import ExponentLike, vector_pnorm
 
 
@@ -125,10 +125,7 @@ def p_norm(a: Element, p: ExponentLike) -> float:
 
 def is_invertible(a: Element, tol: float = 1e-12) -> bool:
     """True iff every eigenvalue exceeds tol in absolute value."""
-    if isinstance(tol, (bool, np.bool_)):
-        raise TypeError(f"tol must be a real number, got {tol!r}")
-    if not tol >= 0.0:  # a nan tol fails this too
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_tol("tol", tol)
     lam = a.algebra.eigenvalues(a.coords)
     return bool(np.abs(lam).min() > tol)
 

@@ -1,11 +1,11 @@
-"""Exception types shared across the package, and the two checks that
-every entry point applies to outside input. real_array (element coords,
-map and congruence matrices, spectra, mixture weights) raises TypeError
-on complex input, ValueError on a wrong shape and NonFiniteInputError on
-a NaN or infinite entry. check_count (restarts, max_iters, seed, trials,
-starts, n, grid_points) raises TypeError unless the count is an integer
-and no bool, and ValueError below its minimum. This module imports
-nothing else from the package, so every module can use it."""
+"""Exception types shared across the package, and the three checks that
+every entry point applies to outside input: real_array (element coords,
+map and congruence matrices, spectra, mixture weights), check_count
+(restarts, max_iters, seed, trials, starts, n, grid_points) and check_tol
+(the tol of EstimatorConfig and is_invertible). Each raises TypeError on
+complex input, a non-integer count or a bool, ValueError on a wrong shape
+or a value below its minimum, and NonFiniteInputError on a NaN or
+infinite value. This module imports nothing else from the package."""
 
 import numbers
 
@@ -61,3 +61,13 @@ def check_count(name: str, value, low: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_tol(name: str, value) -> None:
+    """Reject a tolerance that is a bool, NaN or infinite, or negative."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise NonFiniteInputError(f"{name} must be finite, got {value}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")

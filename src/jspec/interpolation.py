@@ -28,7 +28,7 @@ re-estimating everything with more restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .linmaps import (
     estimate_many,
     op_norm_estimate,  # noqa: F401  re-exported: bench/test_harness.py looks it up here
 )
-from .reports import exponent_to_json
+from .reports import _check_fields, exponent_to_json
 
 # relative slack separating numerical noise from a real counterexample
 VIOLATION_RTOL = 1e-8
@@ -110,7 +110,8 @@ class BoundReport:
 
     @classmethod
     def from_json(cls, d: dict) -> "BoundReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        _check_fields(cls, d, "bound report")
+        return cls(**d)
 
 
 def _estimates(t: LinearMap, pairs: tuple, cfg: EstimatorConfig) -> list[float]:

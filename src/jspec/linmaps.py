@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Algebra, SymMatrix
-from .elements import Element, jordan_product, p_norm, unit, _check_same
+from .elements import Element, jordan_product, unit, _check_same
 from .errors import (
     AlgebraMismatchError,
     DegenerateInputError,
-    NonFiniteInputError,
     UnsupportedCaseError,
     check_count,
+    check_tol,
     real_array,
 )
 from .exponents import ExponentLike, ExtExponent, cp_constant, vector_pnorm
@@ -252,9 +252,7 @@ def peak(c: Element, p: ExponentLike) -> Element:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """restarts, max_iters and seed pass check_count (restarts and
-    max_iters >= 1, seed >= 0); a bool tol raises TypeError, a negative
-    one ValueError and a nan or infinite one NonFiniteInputError."""
+    """Estimator settings: restarts, max_iters and seed pass check_count, tol check_tol."""
 
     restarts: int = 64
     max_iters: int = 200
@@ -264,12 +262,7 @@ class EstimatorConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
-        if isinstance(self.tol, (bool, np.bool_)):
-            raise TypeError(f"tol must be a real number, got {self.tol!r}")
-        if not math.isfinite(self.tol):
-            raise NonFiniteInputError(f"tol must be finite, got {self.tol}")
-        if self.tol < 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        check_tol("tol", self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,6 +552,30 @@ class ClosedForm:
         return self.exact is not None
 
 
+def _norm(lam: np.ndarray, p: ExponentLike) -> float:
+    return float(vector_pnorm(lam, p))
+
+
+def _spectral_form(kind: str, lam: np.ndarray, r: ExtExponent, s: ExtExponent) -> ClosedForm:
+    """||L_a||_{r->s} (kind 'lyapunov') or ||P_a||_{r->s} (kind
+    'quadratic') from lam = lambda(a): every value is a p-norm of lam for
+    L_a and of lam**2 = lambda(a o a) for P_a (a o a = sum lam_j^2 c_j)."""
+    base = lam * lam if kind == "quadratic" else lam
+    top = _norm(base, math.inf)
+    if r.value <= s.value:
+        return ClosedForm.of_exact(top)
+    if r.is_inf:
+        return ClosedForm.of_exact(_norm(base, s))
+    if s.value == 1.0:
+        return ClosedForm.of_exact(_norm(base, r.conjugate))
+    p_est = ExtExponent.from_inverse(s.inv - r.inv)
+    upper = min(
+        _SQRT8 * _norm(base, ExtExponent(r.value / s.value).conjugate),
+        2.0 * cp_constant(p_est.conjugate) * _norm(base, p_est),
+    )
+    return ClosedForm(lower=top, upper=upper)
+
+
 def closed_form_norm(
     kind: str,
     r: ExponentLike,
@@ -569,43 +586,31 @@ def closed_form_norm(
 ) -> ClosedForm:
     """Known values of ||T||_{r->s} for the structured families.
 
-    kind 'lyapunov' / 'quadratic' need the defining element a; kind
-    'positive' needs the map itself (caller asserts positivity). Exact
+    kind 'lyapunov' / 'quadratic' need the defining element a, and read
+    every value off lambda(a) and lambda(a)^2 (see _spectral_form); kind
+    'positive' needs the map itself (caller asserts positivity), and reads
+    every value off lambda(P(e)) and lambda(P*(e)). So a call decomposes a
+    once, or P(e) and P*(e) once each, and forms no Jordan product. Exact
     where an identity is known, otherwise a bracket.
     """
     rex, sex = ExtExponent.coerce(r), ExtExponent.coerce(s)
     if kind in ("lyapunov", "quadratic"):
         if a is None:
             raise UnsupportedCaseError(f"kind {kind!r} needs the defining element a")
-        sq = kind == "quadratic"
-        top = p_norm(a, "inf") ** (2 if sq else 1)
-        if rex.value <= sex.value:
-            return ClosedForm.of_exact(top)
-        base = jordan_product(a, a) if sq else a
-        if rex.is_inf:
-            return ClosedForm.of_exact(p_norm(base, sex))
-        if sex.value == 1.0:
-            return ClosedForm.of_exact(p_norm(base, rex.conjugate))
-        ratio = ExtExponent(rex.value / sex.value)
-        p_est = ExtExponent.from_inverse(sex.inv - rex.inv)
-        upper = min(
-            _SQRT8 * p_norm(base, ratio.conjugate),
-            2.0 * cp_constant(p_est.conjugate) * p_norm(base, p_est),
-        )
-        return ClosedForm(lower=top, upper=upper)
+        return _spectral_form(kind, a.algebra.eigenvalues(a.coords), rex, sex)
     if kind == "positive":
         if pmap is None:
             raise UnsupportedCaseError("kind 'positive' needs the map itself")
         alg = pmap.algebra
         e = unit(alg)
-        pe, pse = pmap(e), pmap.adjoint(e)
+        lam_pe, lam_pse = (alg.eigenvalues(x.coords) for x in (pmap(e), pmap.adjoint(e)))
         n = alg.rank
         if rex.is_inf:
-            return ClosedForm.of_exact(p_norm(pe, sex))
+            return ClosedForm.of_exact(_norm(lam_pe, sex))
         if sex.value == 1.0:
-            return ClosedForm.of_exact(p_norm(pse, rex.conjugate))
+            return ClosedForm.of_exact(_norm(lam_pse, rex.conjugate))
         uppers = []
-        pe_inf, pse_inf = p_norm(pe, "inf"), p_norm(pse, "inf")
+        pe_inf, pse_inf = _norm(lam_pe, math.inf), _norm(lam_pse, math.inf)
         if sex.is_inf:
             uppers.append(pe_inf)
         if rex.value == 1.0:
@@ -616,16 +621,12 @@ def closed_form_norm(
             uppers.append(_SQRT8 * pe_inf ** (1.0 - rex.inv) * pse_inf ** rex.inv)
         else:
             ratio = ExtExponent(rex.value / sex.value)
-            uppers.append(
-                _SQRT8 * pe_inf ** (1.0 - sex.inv) * p_norm(pse, ratio.conjugate) ** sex.inv
-            )
+            uppers.append(_SQRT8 * pe_inf ** (1.0 - sex.inv) * _norm(lam_pse, ratio.conjugate) ** sex.inv)
             sym_resid = np.abs(pmap.matrix - pmap.matrix.T).max()
             if sym_resid <= 1e-12 * max(1.0, np.abs(pmap.matrix).max()):
                 p_est = ExtExponent.from_inverse(sex.inv - rex.inv)
-                uppers.append(2.0 * cp_constant(p_est.conjugate) * p_norm(pe, p_est))
-        lower = max(
-            p_norm(pe, sex) * n ** (-rex.inv),
-            p_norm(pse, rex.conjugate) * n ** (-sex.conjugate.inv),
-        )
+                uppers.append(2.0 * cp_constant(p_est.conjugate) * _norm(lam_pe, p_est))
+        lower = max(_norm(lam_pe, sex) * n ** (-rex.inv),
+                    _norm(lam_pse, rex.conjugate) * n ** (-sex.conjugate.inv))
         return ClosedForm(lower=lower, upper=min(uppers))
     raise UnsupportedCaseError(f"unknown closed-form kind {kind!r}")

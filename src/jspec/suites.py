@@ -51,7 +51,7 @@ from .linmaps import (
     EstimatorConfig,
     LinearMap,
     _peak_spectrum,
-    closed_form_norm,
+    _spectral_form,
     congruence,
     estimate_many,
     lyapunov,
@@ -266,8 +266,9 @@ def _norm_family_suite(cfg: CampaignConfig, kind: str):
     def one(trial: int, a, ests: list) -> dict:
         out = {"trial": trial, "exact_delta": 0.0, "upper_overshoot": -math.inf,
                "lower_slack": math.inf, "case": None}
+        lam = alg.eigenvalues(a.coords)  # one spectrum serves every pair's closed form
         for (r, s), est in zip(pairs, ests):
-            cf = closed_form_norm(kind, r, s, a=a)
+            cf = _spectral_form(kind, lam, r, s)
             if cf.is_exact:
                 delta = abs(est - cf.exact) / max(1.0, cf.exact)
                 if delta > out["exact_delta"]:

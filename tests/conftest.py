@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jspec import parse_algebra
+from jspec import Algebra, parse_algebra
 
 # The five algebras exercised throughout: one of each simple kind plus a
 # genuinely mixed direct sum.
@@ -30,3 +30,18 @@ def algebra(request, algebras):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Counts the calls of Algebra.eigenvalues and Algebra.jordan."""
+    counted = {"eigenvalues": 0, "jordan": 0}
+    for name in counted:
+        real = getattr(Algebra, name)
+
+        def counting(self, *args, name=name, real=real):
+            counted[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Algebra, name, counting)
+    return counted

@@ -10,6 +10,10 @@ each other:
   symmetric one through the standard 2k x 2k embedding.
 * The chart codecs use explicit index loops (the production codecs are
   vectorized fancy-indexing kernels).
+* ``closed_form_reference`` evaluates the closed-form norm table on
+  elements: it forms a o a, P(e) and P*(e) and takes each p-norm
+  through ``p_norm`` (the production table reads every value off one
+  eigenvalue vector per element, squared for a o a).
 
 The oracles themselves are validated only against structural invariants
 (residuals, orthogonality, trace sums), never against the production
@@ -21,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from jspec import ExtExponent, cp_constant, jordan_product, p_norm, unit
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -229,3 +235,49 @@ def oracle_inner(alg, u, v):
             y = herm_chart_to_dense(vb, f.size)
             total += float(np.trace(x @ y).real)
     return total
+
+
+# -- closed-form norm table -----------------------------------------------
+
+
+def closed_form_reference(kind, r, s, *, a=None, pmap=None):
+    """(lower, upper, exact) of the closed-form value of ||T||_{r->s}, exact
+    None for a bracket, from p-norms of elements: a and a o a for kind
+    'lyapunov' and 'quadratic', P(e) and P*(e) for kind 'positive'."""
+    r, s = ExtExponent.coerce(r), ExtExponent.coerce(s)
+    sqrt8 = 2.0 * math.sqrt(2.0)
+    if kind in ("lyapunov", "quadratic"):
+        base = jordan_product(a, a) if kind == "quadratic" else a
+        top = p_norm(a, "inf") ** (2 if kind == "quadratic" else 1)
+        if r.value <= s.value:
+            return top, top, top
+        if r.is_inf or s.value == 1.0:
+            v = p_norm(base, s if r.is_inf else r.conjugate)
+            return v, v, v
+        p = ExtExponent.from_inverse(s.inv - r.inv)
+        upper = min(sqrt8 * p_norm(base, ExtExponent(r.value / s.value).conjugate),
+                    2.0 * cp_constant(p.conjugate) * p_norm(base, p))
+        return top, upper, None
+    e = unit(pmap.algebra)
+    pe, pse = pmap(e), pmap.adjoint(e)
+    if r.is_inf:
+        v = p_norm(pe, s)
+        return v, v, v
+    if s.value == 1.0:
+        v = p_norm(pse, r.conjugate)
+        return v, v, v
+    m_e, m_se = p_norm(pe, "inf"), p_norm(pse, "inf")
+    uppers = [m_e] if s.is_inf else []
+    if r.value == 1.0:
+        uppers.append(m_se)
+    if r.value <= s.value:
+        uppers.append((1.0 if r == s else sqrt8) * m_e ** (1.0 - r.inv) * m_se ** r.inv)
+    else:
+        ratio = ExtExponent(r.value / s.value)
+        uppers.append(sqrt8 * m_e ** (1.0 - s.inv) * p_norm(pse, ratio.conjugate) ** s.inv)
+        if np.abs(pmap.matrix - pmap.matrix.T).max() <= 1e-12 * max(1.0, np.abs(pmap.matrix).max()):
+            p = ExtExponent.from_inverse(s.inv - r.inv)
+            uppers.append(2.0 * cp_constant(p.conjugate) * p_norm(pe, p))
+    n = pmap.algebra.rank
+    lower = max(p_norm(pe, s) * n ** (-r.inv), p_norm(pse, r.conjugate) * n ** (-s.conjugate.inv))
+    return lower, min(uppers), None

@@ -1,5 +1,5 @@
-"""The two input rules, real_array and check_count, at every entry point
-that applies them."""
+"""The three input rules, real_array, check_count and check_tol, at every
+entry point that applies them."""
 
 import math
 
@@ -19,6 +19,7 @@ from jspec import (
     clarkson_check,
     congruence,
     cp_bruteforce,
+    is_invertible,
     lyapunov,
     parse_algebra,
     random_element,
@@ -111,6 +112,35 @@ class TestCheckCount:
     def test_accepts_numpy_integer_at_minimum(self, entry):
         call, _, low = COUNT_ENTRY_POINTS[entry]
         call(np.int64(max(low, 2)))
+
+
+# entry point taking one tolerance
+TOL_ENTRY_POINTS = {
+    "EstimatorConfig.tol": lambda v: EstimatorConfig(tol=v),
+    "is_invertible.tol": lambda v: is_invertible(unit(SYM2), tol=v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+class TestCheckTol:
+    def test_rejects_bools(self, entry):
+        for value in (True, np.False_):  # not the numbers 1.0 and 0.0
+            with pytest.raises(TypeError, match="tol must be a real number"):
+                TOL_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, entry, value):
+        # an infinite tol once made is_invertible return False without a word
+        with pytest.raises(NonFiniteInputError, match="tol must be finite"):
+            TOL_ENTRY_POINTS[entry](value)
+
+    def test_rejects_negative(self, entry):
+        with pytest.raises(ValueError, match="^tol must be >= 0, got -1e-09$"):
+            TOL_ENTRY_POINTS[entry](-1e-9)
+
+    def test_accepts_zero_and_numpy_floats(self, entry):
+        TOL_ENTRY_POINTS[entry](0)
+        TOL_ENTRY_POINTS[entry](np.float64(1e-12))
 
 
 @pytest.mark.parametrize("field,low", [("trials", 1), ("starts", 1), ("n", 2)])

@@ -13,6 +13,7 @@ from jspec import (
     EstimatorConfig,
     ExponentPair,
     ExtExponent,
+    ReportError,
     UnsupportedCaseError,
     check_corollary4,
     check_theorem1,
@@ -200,7 +201,13 @@ class TestBoundReports:
     def test_from_json_rejects_missing_keys(self):
         rep = check_theorem1(random_map(SYM3, 18), 1.5, 3, 0.4, CFG).to_json()
         rep.pop("margin")
-        with pytest.raises(KeyError):
+        with pytest.raises(ReportError, match="missing bound report fields: \\['margin'\\]"):
+            BoundReport.from_json(rep)
+
+    def test_from_json_rejects_unknown_keys(self):
+        rep = check_theorem1(random_map(SYM3, 18), 1.5, 3, 0.4, CFG).to_json()
+        rep["margn"] = rep["margin"]
+        with pytest.raises(ReportError, match="unknown bound report fields: \\['margn'\\]"):
             BoundReport.from_json(rep)
 
     def test_report_fields(self):

@@ -17,6 +17,7 @@ from jspec import (
     ExtExponent,
     LinearMap,
     NonFiniteInputError,
+    SymMatrix,
     UnsupportedCaseError,
     closed_form_norm,
     congruence,
@@ -45,7 +46,7 @@ from jspec.exponents import vector_pnorm
 from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
 from jspec.reports import DEFAULT_GRID
 from conftest import P_GRID
-from oracles import sym_chart_to_dense, sym_dense_to_chart
+from oracles import closed_form_reference, sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
 
@@ -809,6 +810,17 @@ class TestCertified:
             assert np.array_equal(got.witness_b.coords, want.witness_b.coords)
 
 
+GRID_PAIRS = [(r, s) for r in DEFAULT_GRID for s in DEFAULT_GRID]
+
+
+def _assert_matches(cf, ref):
+    lower, upper, exact = ref
+    assert cf.is_exact == (exact is not None)
+    assert (cf.lower, cf.upper) == pytest.approx((lower, upper), rel=1e-13)
+    if exact is not None:
+        assert cf.exact == pytest.approx(exact, rel=1e-13)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("r,s", [(1, 2), (2, 2), (1.5, 4), (1, math.inf), (3, 3)])
     def test_lyapunov_r_le_s_is_sup_norm(self, algebra, r, s):
@@ -861,6 +873,32 @@ class TestClosedForms:
             est = op_norm_estimate(lyapunov(a), r, s, FAST)
             assert est.lower_bound == pytest.approx(cf.exact, rel=1e-5)
             assert est.lower_bound <= cf.exact * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("kind", ["lyapunov", "quadratic"])
+    def test_element_families_match_reference(self, algebra, kind):
+        # every default-grid pair: exact values and both bracket ends
+        a = random_element(algebra, 69)
+        for r, s in GRID_PAIRS:
+            _assert_matches(closed_form_norm(kind, r, s, a=a), closed_form_reference(kind, r, s, a=a))
+
+    def test_positive_matches_reference(self, algebra):
+        maps = [random_doubly_stochastic(algebra, 70), quadratic_rep(random_element(algebra, 71))]
+        if len(algebra.factors) == 1 and isinstance(algebra.factors[0], SymMatrix):
+            k = algebra.factors[0].size
+            maps.append(congruence(np.random.default_rng(72).standard_normal((k, k)), algebra))
+        for pmap in maps:
+            for r, s in GRID_PAIRS:
+                _assert_matches(closed_form_norm("positive", r, s, pmap=pmap),
+                                closed_form_reference("positive", r, s, pmap=pmap))
+
+    @pytest.mark.parametrize("kind,decomps", [("lyapunov", 1), ("quadratic", 1), ("positive", 2)])
+    def test_one_decomposition_per_element(self, algebra, kernel_calls, kind, decomps):
+        # a's spectrum, or those of P(e) and P*(e), and no Jordan product
+        a, pmap = random_element(algebra, 73), random_doubly_stochastic(algebra, 74)
+        for r, s in GRID_PAIRS:
+            kernel_calls.update(eigenvalues=0, jordan=0)
+            closed_form_norm(kind, r, s, a=a, pmap=pmap)
+            assert kernel_calls == {"eigenvalues": decomps, "jordan": 0}, (r, s)
 
     def test_error_paths(self, algebra):
         a = random_element(algebra, 68)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ class TestTrialChunks:
         monkeypatch.setattr(suites, "_EST_FLOATS", 4 * problems * 8 * 10)
         peak(128)
         assert peak(128) - peak(8) < 24 * 1024
+
+
+class TestNormFamilyJudge:
+    """The judge of lyapunov-norms and quadrep-norms reads every pair's
+    closed form off one spectrum of a per trial."""
+
+    # per trial: one spectrum, and the map's own Jordan products (L_a
+    # takes one, P_a three: L_a, a o a and L_{a o a})
+    @pytest.mark.parametrize("suite,jordan", [("lyapunov-norms", 1), ("quadrep-norms", 3)])
+    def test_one_spectrum_per_trial(self, monkeypatch, kernel_calls, suite, jordan):
+        from jspec import suites
+
+        zero = SimpleNamespace(lower_bound=0.0)
+        monkeypatch.setattr(suites, "estimate_many", lambda problems: [zero] * len(problems))
+        run_suite(CampaignConfig(suite=suite, algebra="sym:3", trials=3, seed=1))
+        assert kernel_calls == {"eigenvalues": 3, "jordan": 3 * jordan}
 
 
 BULK = "sym:2,spin:3,herm:2"  # dim 10

@@ -360,7 +360,8 @@ class Algebra:
 
 def parse_algebra(descriptor: str) -> Algebra:
     """Parse the descriptor grammar, e.g. 'rn:5', 'spin:4', 'sym:2,spin:3':
-    comma-separated kind:size tokens, each size in ASCII digits."""
+    comma-separated kind:size tokens, each size in ASCII digits. Every
+    malformed, unknown, too small or too large token raises DescriptorError."""
     kinds = {cls.kind: cls for cls in (RealLines, Spin, SymMatrix, HermMatrix)}
     if not descriptor or not descriptor.strip():
         raise DescriptorError("empty algebra descriptor")
@@ -375,8 +376,12 @@ def parse_algebra(descriptor: str) -> Algebra:
             raise DescriptorError(f"malformed factor size in {tok!r} (expected ASCII digits)")
         if kind not in kinds:
             raise DescriptorError(f"unknown factor kind {kind!r}")
-        fac = kinds[kind](int(num))  # checks the size against the kind's min_size
-        if isinstance(fac, RealLines) and factors and isinstance(factors[-1], RealLines):
-            fac = RealLines(factors.pop().size + fac.size)
+        try:  # a size no factor can hold is a bad descriptor too, not an int or NumPy error
+            fac = kinds[kind](int(num))  # checks the size against the kind's min_size
+            if isinstance(fac, RealLines) and factors and isinstance(factors[-1], RealLines):
+                fac = RealLines(factors.pop().size + fac.size)
+            fac.unit_coords()  # the one array of a factor that its constructor may not build
+        except (ValueError, MemoryError):
+            raise DescriptorError(f"factor {tok!r} is too large to build") from None
         factors.append(fac)
     return Algebra(tuple(factors))

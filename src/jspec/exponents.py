@@ -44,7 +44,10 @@ class ExtExponent:
             if tok in ("inf", "infinity", "oo", "∞"):
                 return cls(INF)
             if "/" in tok:
-                return cls(float(Fraction(tok)))
+                try:
+                    return cls(float(Fraction(tok)))
+                except ZeroDivisionError:  # one error type for every bad string
+                    raise ValueError(f"exponent {p!r} has a zero denominator") from None
             return cls(float(tok))
         return cls(p)
 

@@ -576,6 +576,43 @@ def _spectral_form(kind: str, lam: np.ndarray, r: ExtExponent, s: ExtExponent) -
     return ClosedForm(lower=top, upper=upper)
 
 
+def _positive_form(pmap: LinearMap):
+    """form(r, s) -> ClosedForm, the known values of ||P||_{r->s} for a
+    positive map P: p-norms of lambda(P(e)) and lambda(P*(e)). Both spectra,
+    their inf-norms and the self-adjointness test are taken once per map.
+    Exact: inf->s and r->1; else a bracket whose upper end is the least cap."""
+    alg = pmap.algebra
+    e = unit(alg)
+    lam_pe, lam_pse = (alg.eigenvalues(x.coords) for x in (pmap(e), pmap.adjoint(e)))
+    pe_inf, pse_inf = _norm(lam_pe, math.inf), _norm(lam_pse, math.inf)
+    n = alg.rank
+    sym_resid = np.abs(pmap.matrix - pmap.matrix.T).max()
+    self_adjoint = sym_resid <= 1e-12 * max(1.0, np.abs(pmap.matrix).max())
+
+    def form(r: ExtExponent, s: ExtExponent) -> ClosedForm:
+        if r.is_inf:
+            return ClosedForm.of_exact(_norm(lam_pe, s))
+        if s.value == 1.0:
+            return ClosedForm.of_exact(_norm(lam_pse, r.conjugate))
+        uppers = []
+        if s.is_inf:
+            uppers.append(pe_inf)
+        if r.value == 1.0:
+            uppers.append(pse_inf)
+        if r.value <= s.value:  # the interpolated product; constant 1 on the diagonal
+            uppers.append((1.0 if r.value == s.value else _SQRT8) * pe_inf ** (1.0 - r.inv) * pse_inf ** r.inv)
+        else:
+            ratio = ExtExponent(r.value / s.value)
+            uppers.append(_SQRT8 * pe_inf ** (1.0 - s.inv) * _norm(lam_pse, ratio.conjugate) ** s.inv)
+            if self_adjoint:
+                p_est = ExtExponent.from_inverse(s.inv - r.inv)
+                uppers.append(2.0 * cp_constant(p_est.conjugate) * _norm(lam_pe, p_est))
+        lower = max(_norm(lam_pe, s) * n ** (-r.inv), _norm(lam_pse, r.conjugate) * n ** (-s.conjugate.inv))
+        return ClosedForm(lower=lower, upper=min(uppers))
+
+    return form
+
+
 def closed_form_norm(
     kind: str,
     r: ExponentLike,
@@ -589,9 +626,9 @@ def closed_form_norm(
     kind 'lyapunov' / 'quadratic' need the defining element a, and read
     every value off lambda(a) and lambda(a)^2 (see _spectral_form); kind
     'positive' needs the map itself (caller asserts positivity), and reads
-    every value off lambda(P(e)) and lambda(P*(e)). So a call decomposes a
-    once, or P(e) and P*(e) once each, and forms no Jordan product. Exact
-    where an identity is known, otherwise a bracket.
+    every value off lambda(P(e)) and lambda(P*(e)) (see _positive_form, the
+    positive-norms judge's table too); each is decomposed once per call, and
+    no Jordan product is formed. Exact where known, otherwise a bracket.
     """
     rex, sex = ExtExponent.coerce(r), ExtExponent.coerce(s)
     if kind in ("lyapunov", "quadratic"):
@@ -601,32 +638,5 @@ def closed_form_norm(
     if kind == "positive":
         if pmap is None:
             raise UnsupportedCaseError("kind 'positive' needs the map itself")
-        alg = pmap.algebra
-        e = unit(alg)
-        lam_pe, lam_pse = (alg.eigenvalues(x.coords) for x in (pmap(e), pmap.adjoint(e)))
-        n = alg.rank
-        if rex.is_inf:
-            return ClosedForm.of_exact(_norm(lam_pe, sex))
-        if sex.value == 1.0:
-            return ClosedForm.of_exact(_norm(lam_pse, rex.conjugate))
-        uppers = []
-        pe_inf, pse_inf = _norm(lam_pe, math.inf), _norm(lam_pse, math.inf)
-        if sex.is_inf:
-            uppers.append(pe_inf)
-        if rex.value == 1.0:
-            uppers.append(pse_inf)
-        if rex.value == sex.value:
-            uppers.append(pe_inf ** (1.0 - rex.inv) * pse_inf ** rex.inv)
-        elif rex.value < sex.value:
-            uppers.append(_SQRT8 * pe_inf ** (1.0 - rex.inv) * pse_inf ** rex.inv)
-        else:
-            ratio = ExtExponent(rex.value / sex.value)
-            uppers.append(_SQRT8 * pe_inf ** (1.0 - sex.inv) * _norm(lam_pse, ratio.conjugate) ** sex.inv)
-            sym_resid = np.abs(pmap.matrix - pmap.matrix.T).max()
-            if sym_resid <= 1e-12 * max(1.0, np.abs(pmap.matrix).max()):
-                p_est = ExtExponent.from_inverse(sex.inv - rex.inv)
-                uppers.append(2.0 * cp_constant(p_est.conjugate) * _norm(lam_pe, p_est))
-        lower = max(_norm(lam_pe, sex) * n ** (-rex.inv),
-                    _norm(lam_pse, rex.conjugate) * n ** (-sex.conjugate.inv))
-        return ClosedForm(lower=lower, upper=min(uppers))
+        return _positive_form(pmap)(rex, sex)
     raise UnsupportedCaseError(f"unknown closed-form kind {kind!r}")

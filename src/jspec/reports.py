@@ -70,7 +70,7 @@ class CampaignConfig:
             raise ReportError(str(exc)) from None
         try:
             grid = tuple(ExtExponent.coerce(p).value for p in self.grid)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ReportError(f"bad grid exponent: {exc}") from None
         if not grid:
             raise ReportError("grid must be nonempty")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .cp_oracle import (
     cp_bruteforce,
     refined_clarkson_check,
 )
-from .elements import random_element, unit
+from .elements import random_element
 from .errors import DegenerateInputError, ReportError
 from .exponents import ExtExponent, cp_constant, vector_pnorm
 from .interpolation import (
@@ -51,6 +52,7 @@ from .linmaps import (
     EstimatorConfig,
     LinearMap,
     _peak_spectrum,
+    _positive_form,
     _spectral_form,
     congruence,
     estimate_many,
@@ -141,9 +143,8 @@ def _ftvn_rows(alg: Algebra, a: np.ndarray, b: np.ndarray):
     return (ip - rhs) / scale, ip, rhs
 
 
-def _suite_ftvn(cfg: CampaignConfig):
+def _suite_ftvn(cfg: CampaignConfig, alg: Algebra):
     """<a, b> <= lambda(a) . lambda(b) (eigenvalues sorted decreasing)."""
-    alg = parse_algebra(cfg.algebra)
     rng_a, rng_b = _rng(cfg.seed, 0), _rng(cfg.seed, 1)
     worst = None
     for lo, hi in _row_blocks(cfg.trials, alg.dim):
@@ -171,10 +172,9 @@ def _holder_rows(alg: Algebra, p: ExtExponent, a: np.ndarray, b: np.ndarray):
     return (ip - ab1) / scale, (ab1 - na * nb) / scale, attain
 
 
-def _suite_holder(cfg: CampaignConfig):
+def _suite_holder(cfg: CampaignConfig, alg: Algebra):
     """|<a,b>| <= ||a o b||_1 <= ||a||_p ||b||_q, and attainment of
     sup_b <a,b>/||b||_q = ||a||_p at the dual-norm peak."""
-    alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
     max_inner = -math.inf
     max_prod = -math.inf
@@ -208,10 +208,9 @@ def _gen_holder_rows(alg: Algebra, p, r, s, a: np.ndarray, b: np.ndarray) -> np.
     return ns / denom
 
 
-def _suite_gen_holder(cfg: CampaignConfig):
+def _suite_gen_holder(cfg: CampaignConfig, alg: Algebra):
     """||a o b||_s <= 2 c_q ||a||_p ||b||_r with 1/s = 1/p + 1/r
     (q conjugate to p, s != r)."""
-    alg = parse_algebra(cfg.algebra)
     pairs = []
     for p in cfg.exponents:
         for r in cfg.exponents:
@@ -255,8 +254,7 @@ def _suite_gen_holder(cfg: CampaignConfig):
 # -- estimator-vs-closed-form suites ------------------------------------
 
 
-def _norm_family_suite(cfg: CampaignConfig, kind: str):
-    alg = parse_algebra(cfg.algebra)
+def _norm_family_suite(cfg: CampaignConfig, alg: Algebra, kind: str):
     pairs = [(r, s) for r in cfg.exponents for s in cfg.exponents]
 
     def plan(trial: int, ecfg: EstimatorConfig):
@@ -305,16 +303,14 @@ def _positive_map(cfg: CampaignConfig, alg: Algebra, trial: int) -> tuple[str, L
     return "doubly-stochastic", random_doubly_stochastic(alg, rng)
 
 
-def _suite_positive(cfg: CampaignConfig):
+def _suite_positive(cfg: CampaignConfig, alg: Algebra):
     """Positive maps: exact corner identities and one-sided caps.
 
     Exact: ||P||_{inf->p} = ||P(e)||_p and ||P||_{p->1} = ||P*(e)||_q.
-    Caps (never exceeded by the estimator's sampled sup): p->inf by
-    ||P(e)||_inf, 1->p by ||P*(e)||_inf, p->p by the interpolated
-    product."""
-    alg = parse_algebra(cfg.algebra)
+    Caps (never exceeded by the estimator's sampled sup): the upper ends
+    for p->inf, 1->p and p->p. Both come from one _positive_form per
+    trial, the table closed_form_norm('positive') reads."""
     exps = cfg.exponents
-    e = unit(alg)
     inf = ExtExponent(math.inf)
     one_exp = ExtExponent(1.0)
     # per exponent: the two identity problems, then the three capped ones
@@ -325,26 +321,17 @@ def _suite_positive(cfg: CampaignConfig):
         return (family, pm), pm, pairs
 
     def one(trial: int, family: str, pm: LinearMap, bounds: list) -> dict:
-        # the spectra of P(e) and P*(e), read by every identity and cap
-        lam_pe, lam_pse = (alg.eigenvalues(x.coords) for x in (pm(e), pm.adjoint(e)))
-        pe_inf, pse_inf = float(vector_pnorm(lam_pe, inf)), float(vector_pnorm(lam_pse, inf))
-        ests = iter(bounds)
+        form = _positive_form(pm)  # P(e) and P*(e) decomposed once, for every pair
+        judged = iter(zip(bounds, (form(r, s) for r, s in pairs)))
         out = {"trial": trial, "family": family, "identity_delta": 0.0,
                "cap_overshoot": -math.inf, "case": None}
         for p in exps:
-            got = next(ests)
-            want = float(vector_pnorm(lam_pe, p))
-            d1 = abs(got - want) / max(1.0, want)
-            got = next(ests)
-            want = float(vector_pnorm(lam_pse, p.conjugate))
-            d2 = abs(got - want) / max(1.0, want)
-            if max(d1, d2) > out["identity_delta"]:
-                out["identity_delta"] = max(d1, d2)
+            d = max(abs(est - cf.exact) / max(1.0, cf.exact) for est, cf in islice(judged, 2))
+            if d > out["identity_delta"]:
+                out["identity_delta"] = d
                 out["case"] = exponent_to_json(p.value)
-            caps = (pe_inf, pse_inf, pe_inf ** (1.0 - p.inv) * pse_inf ** p.inv)
-            for cap in caps:
-                est = next(ests)
-                out["cap_overshoot"] = max(out["cap_overshoot"], (est - cap) / max(1.0, cap))
+            for est, cf in islice(judged, 3):
+                out["cap_overshoot"] = max(out["cap_overshoot"], (est - cf.upper) / max(1.0, cf.upper))
         return out
 
     rows = (one(trial, *ctx, ests) for trial, (ctx, ests) in enumerate(_estimated(cfg, alg, plan)))
@@ -361,13 +348,12 @@ def _pick(rng: np.random.Generator, exps: tuple) -> ExtExponent:
     return exps[int(rng.integers(len(exps)))]
 
 
-def _interp_suite(cfg: CampaignConfig, plan) -> tuple[bool, dict, list]:
+def _interp_suite(cfg: CampaignConfig, alg: Algebra, plan) -> tuple[bool, dict, list]:
     """plan(trial, ecfg) returns (check, t, norms): check(first) judges
-    the trial from the first-pass bounds of the norms (r, s) of map t and
-    returns (BoundReport, extra margins, each a maximum over trials).
-    Only the reports that can become witnesses are kept, so memory does
-    not grow with cfg.trials."""
-    alg = parse_algebra(cfg.algebra)
+    the trial from the first-pass bounds of the norms (r, s) of map t on
+    alg and returns (BoundReport, extra margins, each a maximum over
+    trials). Only the reports that can become witnesses are kept, so
+    memory does not grow with cfg.trials."""
     top, violated, margins = None, [], {"max_lhs_over_rhs": -math.inf, "violations": 0, "reruns": 0}
     for check, first in _estimated(cfg, alg, plan):
         rep, extra = check(first)
@@ -385,10 +371,9 @@ def _interp_suite(cfg: CampaignConfig, plan) -> tuple[bool, dict, list]:
     return passed, margins, violated or [top.to_json()]
 
 
-def _suite_theorem1(cfg: CampaignConfig):
+def _suite_theorem1(cfg: CampaignConfig, alg: Algebra):
     """Diagonal interpolation (constant 1), with doubly stochastic
     probes whose diagonal norms must stay at most 1."""
-    alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
     def plan(trial: int, ecfg: EstimatorConfig):
@@ -405,13 +390,12 @@ def _suite_theorem1(cfg: CampaignConfig):
 
         return check, t, theorem1_case(p0, p1, theta).norms
 
-    return _interp_suite(cfg, plan)
+    return _interp_suite(cfg, alg, plan)
 
 
-def _suite_theorem2(cfg: CampaignConfig):
+def _suite_theorem2(cfg: CampaignConfig, alg: Algebra):
     """Two-exponent interpolation; alternates the theta-free and
     theta-dependent constants."""
-    alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
     def plan(trial: int, ecfg: EstimatorConfig):
@@ -426,13 +410,12 @@ def _suite_theorem2(cfg: CampaignConfig):
 
         return check, t, theorem2_case(pair, theta, sharp).norms
 
-    return _interp_suite(cfg, plan)
+    return _interp_suite(cfg, alg, plan)
 
 
-def _suite_corollary4(cfg: CampaignConfig):
+def _suite_corollary4(cfg: CampaignConfig, alg: Algebra):
     """Corner interpolation bounds for r != s; alternates the 2 sqrt(2)
     constant and its sharpened power."""
-    alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
     if len({e.value for e in exps}) < 2:
         raise ReportError("corollary4 suite needs at least two distinct grid exponents")
@@ -451,14 +434,13 @@ def _suite_corollary4(cfg: CampaignConfig):
 
         return check, t, corollary4_case(r, s, improved).norms
 
-    return _interp_suite(cfg, plan)
+    return _interp_suite(cfg, alg, plan)
 
 
-def _suite_three_lines(cfg: CampaignConfig):
+def _suite_three_lines(cfg: CampaignConfig, alg: Algebra):
     """Analytic-family walk-through: the pairing must match phi(theta)
     and the sampled geometric-mean and line-cap bounds must hold. Line j's
     cap is c_{r_j} c_{s_j'} ||T||_{r_j -> s_j}, with the estimated norm."""
-    alg = parse_algebra(cfg.algebra)
     exps = cfg.exponents
 
     def plan(trial: int, ecfg: EstimatorConfig):
@@ -507,7 +489,7 @@ def _suite_three_lines(cfg: CampaignConfig):
 # -- scalar-oracle suites ------------------------------------------------
 
 
-def _suite_cp_table(cfg: CampaignConfig):
+def _suite_cp_table(cfg: CampaignConfig, alg: Algebra):
     """Brute-force recovery of c_p on the grid (table suite)."""
     rows = []
     for i, p in enumerate(cfg.exponents):
@@ -524,7 +506,7 @@ def _suite_cp_table(cfg: CampaignConfig):
     return max_delta <= 1e-4, margins, rows
 
 
-def _suite_clarkson(cfg: CampaignConfig):
+def _suite_clarkson(cfg: CampaignConfig, alg: Algebra):
     """Scalar inequality fuzzing across the grid (finite p only); each
     witness row keeps its check's worst pair."""
     results = []
@@ -572,9 +554,9 @@ SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(cfg: CampaignConfig) -> SuiteReport:
-    """Execute one campaign; deterministic given the config."""
+    """Execute one campaign, its algebra parsed once; deterministic given the config."""
     t0 = time.perf_counter()
-    passed, margins, witnesses = _SUITES[cfg.suite](cfg)
+    passed, margins, witnesses = _SUITES[cfg.suite](cfg, parse_algebra(cfg.algebra))
     wall = time.perf_counter() - t0
     return SuiteReport(
         suite=cfg.suite,

@@ -65,6 +65,19 @@ class TestParsing:
         with pytest.raises(DescriptorError):
             parse_algebra(bad)
 
+    # sizes no factor or algebra can hold, each failing before any allocation
+    @pytest.mark.parametrize(
+        "bad",
+        ["rn:99999999999999999999999", "spin:99999999999999999999999", "sym:99999999999999999999999",
+         "rn:" + "9" * 5000, "herm:10000000000000000000", "sym:2,rn:10000000000000000000",
+         "rn:5,rn:99999999999999999999999"],
+        ids=lambda d: d if len(d) < 40 else f"{d[:3]}{len(d) - 3}-digits",
+    )
+    def test_rejects_sizes_too_large_to_build(self, bad):
+        with pytest.raises(DescriptorError, match="too large") as exc:
+            parse_algebra(bad)
+        assert bad.split(",")[-1] in str(exc.value)
+
     def test_empty_factor_tuple_rejected(self):
         with pytest.raises(DescriptorError):
             Algebra(())

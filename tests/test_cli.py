@@ -58,6 +58,12 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_descriptor_exit_two(self, capsys):
+        code = run_cli("run", "--suite", "ftvn", "--algebra", "rn:99999999999999999999999", "--trials", "1")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "rn:99999999999999999999999" in err
+
     def test_config_echoes_the_canonical_descriptor(self, tmp_path):
         # one campaign, one report: each spelling of sym:2 (and of rn:5)
         # echoes the canonical descriptor, so all write one checksum
@@ -92,6 +98,7 @@ class TestRun:
             ("--max-iters", "0"),
             ("--starts", "0"),
             ("--grid", "1/2"),
+            ("--grid", "1/0"),
         ],
     )
     def test_bad_config_exit_two(self, capsys, flag, value):
@@ -321,7 +328,7 @@ class TestCpTable:
 
     def test_defaults_come_from_campaign_config(self, tmp_path, monkeypatch):
         # a stand-in suite keeps the run short; the config is what is checked
-        monkeypatch.setitem(suites._SUITES, "cp-table", lambda cfg: (True, {"max_delta": 0.0}, []))
+        monkeypatch.setitem(suites._SUITES, "cp-table", lambda cfg, alg: (True, {"max_delta": 0.0}, []))
         out = tmp_path / "cp.json"
         assert run_cli("cp-table", "--out", str(out)) == 0
         assert load_report(out).config == CampaignConfig(suite="cp-table").to_json()

@@ -25,9 +25,9 @@ class TestCoerce:
             assert ExtExponent.coerce(s).is_inf
         assert ExtExponent.coerce(math.inf).is_inf
 
-    @pytest.mark.parametrize("bad", [0, 0.5, -1, "garbage", "0/3", float("nan")])
+    @pytest.mark.parametrize("bad", [0, 0.5, -1, "garbage", "0/3", "1/0", "3/0", float("nan")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(ValueError):
             ExtExponent.coerce(bad)
 
     @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])

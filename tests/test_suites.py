@@ -11,6 +11,7 @@ from jspec import (
     CampaignConfig,
     ReportError,
     SuiteReport,
+    closed_form_norm,
     cp_oracle,
     cp_table_csv,
     replay,
@@ -219,19 +220,45 @@ class TestTrialChunks:
 
 
 class TestNormFamilyJudge:
-    """The judge of lyapunov-norms and quadrep-norms reads every pair's
-    closed form off one spectrum of a per trial."""
+    """The judges of lyapunov-norms and quadrep-norms read every pair's
+    closed form off one spectrum of a per trial, and the positive-norms
+    judge off the spectra of P(e) and P*(e)."""
 
-    # per trial: one spectrum, and the map's own Jordan products (L_a
-    # takes one, P_a three: L_a, a o a and L_{a o a})
-    @pytest.mark.parametrize("suite,jordan", [("lyapunov-norms", 1), ("quadrep-norms", 3)])
-    def test_one_spectrum_per_trial(self, monkeypatch, kernel_calls, suite, jordan):
+    # totals over 3 trials: the judged spectra, and the maps' own Jordan
+    # products (L_a takes one, P_a three: L_a, a o a and L_{a o a}); the
+    # positive-norms trials draw P_a, a congruence and P_a again. Each id
+    # names the suite and its Jordan products per trial (on average)
+    @pytest.mark.parametrize(
+        "suite,eigenvalues,jordan",
+        [("lyapunov-norms", 3, 3), ("quadrep-norms", 3, 9), ("positive-norms", 6, 6)],
+        ids=["lyapunov-norms-1", "quadrep-norms-3", "positive-norms-2"],
+    )
+    def test_one_spectrum_per_trial(self, monkeypatch, kernel_calls, suite, eigenvalues, jordan):
         from jspec import suites
 
         zero = SimpleNamespace(lower_bound=0.0)
         monkeypatch.setattr(suites, "estimate_many", lambda problems: [zero] * len(problems))
         run_suite(CampaignConfig(suite=suite, algebra="sym:3", trials=3, seed=1))
-        assert kernel_calls == {"eigenvalues": 3, "jordan": 3 * jordan}
+        assert kernel_calls == {"eigenvalues": eigenvalues, "jordan": jordan}
+
+
+class TestPositiveJudge:
+    """The positive-norms judge reads closed_form_norm('positive')'s table:
+    an estimator that answers each problem with that table's upper end
+    meets every identity and every cap exactly."""
+
+    @pytest.mark.parametrize("algebra", ["sym:3", "herm:3", "spin:5", "rn:6", "sym:2,spin:3"])
+    def test_table_bounds_give_zero_margins(self, monkeypatch, algebra):
+        from jspec import suites
+
+        def table(problems):
+            return [SimpleNamespace(lower_bound=closed_form_norm("positive", r, s, pmap=t).upper)
+                    for t, r, s, _ in problems]
+
+        monkeypatch.setattr(suites, "estimate_many", table)
+        rep = run_suite(CampaignConfig(suite="positive-norms", algebra=algebra, trials=6, seed=3))
+        assert rep.margins["max_identity_delta"] == 0.0
+        assert rep.margins["max_cap_overshoot"] == 0.0
 
 
 BULK = "sym:2,spin:3,herm:2"  # dim 10

@@ -3,9 +3,12 @@ fuzz checks for the scalar inequalities behind it.
 
 c_p is the maximum of f(x, y) = ||x||_p + ||y||_p over real vector pairs
 with ||x + iy||_p = 1. The closed form (cp_constant) is sqrt(2) on
-[1, 2] and 2^(1/q) on [2, inf]. cp_bruteforce recovers it by multistart
-coordinate ascent and never consults the closed form, so the two routes
-stay independent.
+[1, 2] and 2^(1/q) on [2, inf]. cp_bruteforce recovers it by a batched
+multistart compass search (Kolda, Lewis & Torczon, "Optimization by
+direct search", SIAM Review 2003) and never consults the closed form, so
+the two routes stay independent. It moves its live starts in the same row
+blocks as the fuzz checks below, so its temporaries do not grow with the
+number of starts.
 
 The fuzz checks work in row blocks of at most _BLOCK_FLOATS floats, so
 their temporaries do not grow with the trial count: the two-point checks
@@ -33,6 +36,9 @@ from .exponents import ExponentLike, ExtExponent, vector_pnorm
 _BLOCK_FLOATS = 1 << 14
 # cp_bruteforce's first step, the step below which a start is spent, and its sweep cap
 _STEP_INIT, _STEP_MIN, _MAX_SWEEPS = 0.5, 1e-9, 2000
+# cp_bruteforce stops once the best over all starts has risen by at most
+# _RISE_TOL * max(1, |best|) in each of _PATIENCE sweeps in a row
+_RISE_TOL, _PATIENCE = 1e-12, 50
 
 
 def _row_blocks(n: int, width: int):
@@ -68,20 +74,34 @@ class CpProblem:
 
 @dataclass(frozen=True, eq=False)
 class CpSearchResult:
+    """The best value found, its witness pair, the number of sweeps and
+    why the search ended: "spent" (every start's step fell below
+    _STEP_MIN), "patience" (the best value stopped rising) or
+    "max_sweeps"."""
+
     value: float
     x: np.ndarray
     y: np.ndarray
     sweeps: int
+    stop: str
 
 
 def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSearchResult:
-    """Multistart coordinate ascent with exact feasibility restoration.
+    """Multistart compass search with exact feasibility restoration.
 
-    Each proposal bumps one coordinate of (x, y) and rescales the pair
-    back onto the constraint sphere (the constraint is positively
-    homogeneous, so rescaling is exact). Steps halve when a full sweep
-    over coordinates and signs yields no improvement anywhere; the search
-    ends once every start's step is below _STEP_MIN, or at _MAX_SWEEPS.
+    Each sweep moves every live start by +-step along each coordinate of
+    (x, y), all 4n moves of a row block of live starts in one batch, and
+    rescales each move back onto the constraint sphere (the constraint is
+    positively homogeneous, so rescaling is exact; a move with
+    constraint 0 is dropped). A start takes its best move, the first
+    maximum in the fixed move order, if it beats the start's value;
+    otherwise its step halves. A start whose step falls below _STEP_MIN
+    is spent and leaves the batch. The search ends once every start is
+    spent, once the best over all starts has risen by at most
+    _RISE_TOL * max(1, |best|) in each of _PATIENCE sweeps in a row, or at
+    _MAX_SWEEPS. At p = inf the patience stop can leave the value about
+    1e-11 below the maximum with 200 starts (about 2e-10 with 24); on the
+    finite exponents of the acceptance grid it is within a few ulps.
     """
     check_count("starts", starts, 1)
     n, p = problem.n, problem.p
@@ -91,27 +111,36 @@ def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSea
     xy /= norms[:, None]
     best = problem.objective(xy[:, :n], xy[:, n:])
 
+    # the 4n unit moves in their fixed order: +e_j, then -e_j, for each j
+    moves = np.kron(np.eye(2 * n), [[1.0], [-1.0]])
     step = np.full(starts, _STEP_INIT)
-    sweeps = 0
-    while np.any(step >= _STEP_MIN) and sweeps < _MAX_SWEEPS:
+    live = np.arange(starts)
+    top, stalled, sweeps, stop = best.max(), 0, 0, None
+    while stop is None:
         sweeps += 1
-        improved = np.zeros(starts, dtype=bool)
-        for j in range(2 * n):
-            for sign in (1.0, -1.0):
-                cand = xy.copy()
-                cand[:, j] += sign * step
-                t = _mod_pnorm(cand[:, :n], cand[:, n:], p)
-                ok = t > 0
-                cand[ok] /= t[ok, None]
-                val = problem.objective(cand[:, :n], cand[:, n:])
-                take = ok & (val > best)
-                xy[take] = cand[take]
-                best = np.where(take, val, best)
-                improved |= take
-        step = np.where(improved, step, step / 2.0)
+        for lo, hi in _row_blocks(live.size, moves.size):
+            rows = live[lo:hi]
+            cand = xy[rows, None, :] + step[rows, None, None] * moves
+            t = _mod_pnorm(cand[..., :n], cand[..., n:], p)
+            ok = t > 0
+            cand /= np.where(ok, t, 1.0)[..., None]
+            val = np.where(ok, problem.objective(cand[..., :n], cand[..., n:]), -np.inf)
+            k = np.argmax(val, axis=1)
+            val = val[np.arange(rows.size), k]
+            gain = val > best[rows]
+            xy[rows[gain]] = cand[gain, k[gain]]
+            best[rows[gain]] = val[gain]
+            step[rows[~gain]] /= 2.0
+        live = live[step[live] >= _STEP_MIN]
+
+        new_top = best.max()
+        stalled = stalled + 1 if new_top - top <= _RISE_TOL * max(1.0, abs(new_top)) else 0
+        top = new_top
+        stop = ("spent" if live.size == 0 else "patience" if stalled >= _PATIENCE
+                else "max_sweeps" if sweeps >= _MAX_SWEEPS else None)
 
     k = int(np.argmax(best))
-    return CpSearchResult(float(best[k]), xy[k, :n].copy(), xy[k, n:].copy(), sweeps)
+    return CpSearchResult(float(best[k]), xy[k, :n].copy(), xy[k, n:].copy(), sweeps, stop)
 
 
 # -- scalar inequality fuzzing ------------------------------------------

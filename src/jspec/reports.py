@@ -22,7 +22,7 @@ from .errors import NonFiniteInputError, ReportError, check_count
 from .exponents import ExtExponent
 from .linmaps import EstimatorConfig
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 REPLAY_TOL = 1e-12  # a replayed margin may differ by this much, relative to max(1, |margin|)
 
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
@@ -53,7 +53,7 @@ class CampaignConfig:
     restarts: int = _setting(32, "norm-estimator restarts")
     max_iters: int = _setting(200, "estimator ascent iterations")
     tol: float = _setting(1e-10, "estimator convergence tolerance")
-    starts: int = _setting(200, "coordinate-ascent multistarts (cp-table)")
+    starts: int = _setting(200, "compass-search multistarts (cp-table)")
     n: int = _setting(2, "vector dimension (cp-table, clarkson aggregation)")
 
     def __post_init__(self):
@@ -168,7 +168,7 @@ class SuiteReport:
         if d["schema"] != SCHEMA_VERSION:
             raise ReportError(
                 f"schema mismatch: report has {d['schema']!r}, expected {SCHEMA_VERSION!r}; "
-                "it was written by an older estimator or sampler, so re-run its campaign"
+                "it was written by an older estimator, sampler or c_p search, so re-run its campaign"
             )
         rep = cls(**d)
         if rep.compute_checksum() != d["checksum"]:

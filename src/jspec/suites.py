@@ -490,7 +490,8 @@ def _suite_three_lines(cfg: CampaignConfig, alg: Algebra):
 
 
 def _suite_cp_table(cfg: CampaignConfig, alg: Algebra):
-    """Brute-force recovery of c_p on the grid (table suite)."""
+    """Brute-force recovery of c_p on the grid (table suite); each row
+    says how many sweeps its search took and why it stopped."""
     rows = []
     for i, p in enumerate(cfg.exponents):
         res = cp_bruteforce(CpProblem(cfg.n, p), starts=cfg.starts, seed=derive_seed(cfg.seed, 13, i))
@@ -500,6 +501,8 @@ def _suite_cp_table(cfg: CampaignConfig, alg: Algebra):
             "max_found": res.value,
             "closed_form": closed,
             "delta": abs(res.value - closed),
+            "sweeps": res.sweeps,
+            "stop": res.stop,
         })
     max_delta = max(r["delta"] for r in rows)
     margins = {"max_delta": float(max_delta)}

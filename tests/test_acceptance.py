@@ -52,7 +52,7 @@ def _report(line: str) -> None:
 
 
 def test_01_splitting_constant_recovered_by_search():
-    """Coordinate-ascent search over ||x||_p + ||y||_p on the complex unit
+    """Compass search over ||x||_p + ||y||_p on the complex unit
     sphere reproduces the closed-form constant to 1e-4 for every grid
     exponent and dimension 2..4, within a two-minute budget."""
     t0 = time.perf_counter()

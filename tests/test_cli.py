@@ -293,6 +293,21 @@ class TestReplay:
         assert "schema mismatch" in err and "'2'" in err
         assert "older estimator" in err and "re-run" in err
 
+    def test_replay_schema_3_report_exit_two(self, tmp_path, capsys):
+        # schema 3 reports come from the c_p search that took one move at a
+        # time and swept spent starts to the sweep cap; their cp-table
+        # margins move by about 2e-11 at p = inf, and their rows have no
+        # sweeps or stop fields
+        out = self._write_report(tmp_path)
+        data = json.loads(out.read_text())
+        data["schema"] = "3"
+        self._reseal(out, data)
+        capsys.readouterr()
+        assert run_cli("replay", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "schema mismatch" in err and "'3'" in err
+        assert "c_p search" in err and "re-run" in err
+
     @pytest.mark.parametrize("edit", ["witness", "wall_time"])
     def test_replay_non_finite_number_exit_two(self, tmp_path, capsys, edit):
         # JSON has no NaN or Infinity, so a file holding one is no report

@@ -1,4 +1,4 @@
-"""Extremal split constants: the coordinate-ascent search and the
+"""Extremal split constants: the compass search and the
 two-point / aggregate inequality fuzzers."""
 
 import math
@@ -14,6 +14,7 @@ from jspec import (
     clarkson_check,
     cp_bruteforce,
     cp_constant,
+    cp_oracle,
     refined_clarkson_check,
 )
 
@@ -84,6 +85,58 @@ class TestSearch:
 
         res = cp_bruteforce(CpProblem(4, "inf"), starts=1, seed=derive_seed(1, 13, 0))
         assert res.value < 2.0 - 1e-3
+
+    @pytest.mark.parametrize("p,n", [(1.0, 3), (math.inf, 4)])
+    def test_gate_cases_stop_before_the_sweep_cap(self, p, n):
+        # two of the acceptance gate's cases; a search that keeps sweeping
+        # spent starts runs both to the 2000-sweep cap
+        from jspec.suites import derive_seed
+
+        res = cp_bruteforce(CpProblem(n, p), starts=200, seed=derive_seed(101, n))
+        assert res.sweeps <= 500 and res.stop != "max_sweeps"
+        assert abs(res.value - cp_constant(p)) <= 1e-10
+
+    def test_spent_starts_leave_the_batch(self, monkeypatch):
+        # every sweep makes one constraint call on the live starts' 4n
+        # moves; the first call normalizes the starts
+        rows, real_mod_pnorm = [], cp_oracle._mod_pnorm
+
+        def spy(x, y, p):
+            rows.append(x.size // x.shape[-1])
+            return real_mod_pnorm(x, y, p)
+
+        monkeypatch.setattr(cp_oracle, "_mod_pnorm", spy)
+        n, starts = 2, 20
+        res = cp_bruteforce(CpProblem(n, 2), starts=starts, seed=5)
+        per_sweep = rows[1:]
+        assert rows[0] == starts and len(per_sweep) == res.sweeps
+        assert per_sweep[0] == starts * 4 * n
+        assert all(r % (4 * n) == 0 for r in per_sweep)
+        assert all(b <= a for a, b in zip(per_sweep, per_sweep[1:]))
+        assert per_sweep[-1] < per_sweep[0]
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        # 2n = 4 coordinates and 8 moves give 32 floats per start, so 128
+        # floats per block split the 20 starts into blocks of 4
+        a = cp_bruteforce(CpProblem(2, 1.5), starts=20, seed=3)
+        monkeypatch.setattr(cp_oracle, "_BLOCK_FLOATS", 128)
+        b = cp_bruteforce(CpProblem(2, 1.5), starts=20, seed=3)
+        assert (a.value, a.sweeps, a.stop) == (b.value, b.sweeps, b.stop)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def test_peak_memory_does_not_grow_with_starts(self):
+        # at n = 8 a start's moves hold 512 floats, 32 starts per default
+        # block; one batch of all 256 starts adds about 2.7 MB
+        def peak(starts):
+            tracemalloc.start()
+            try:
+                cp_bruteforce(CpProblem(8, 2), starts=starts, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(32)
+        assert peak(256) - peak(32) < 512 * 1024
 
 
 class TestTwoPointInequalities:

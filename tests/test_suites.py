@@ -100,6 +100,13 @@ class TestAllSuitesSmoke:
                                          else {"z", "w", "violation"})
         assert SuiteReport.from_json(rep.to_json()).witnesses == rep.witnesses
 
+    def test_cp_table_rows_say_how_each_search_ended(self):
+        rep = run_suite(_smoke_cfg("cp-table"))
+        for row in rep.witnesses:
+            assert set(row) == {"p", "max_found", "closed_form", "delta", "sweeps", "stop"}
+            assert row["sweeps"] >= 1 and row["stop"] in ("spent", "patience", "max_sweeps")
+        assert SuiteReport.from_json(rep.to_json()).witnesses == rep.witnesses
+
     def test_corollary4_needs_two_distinct_exponents(self):
         with pytest.raises(ReportError):
             run_suite(_smoke_cfg("corollary4", grid=(2,)))

@@ -2,9 +2,10 @@
 checks, and a numerical walk-through of the underlying three-lines
 argument.
 
-The walk-through works on chart arrays: the analytic family's values
-are complex chart-coordinate rows, built from each operand's
-eigenvalues and Jordan frame rows.
+The walk-through works on chart arrays: one helper builds the analytic
+family of either operand as complex chart-coordinate rows from one
+decomposition of it; the b side is the a-side family at the conjugate
+exponents, and the bilinear pairing of the two is analytic.
 
 Claim catalog (project numbering, used across reports and the CLI):
   claim 1   ||T||_{p->p} <= ||T||_{p0->p0}^(1-theta) ||T||_{p1->p1}^theta
@@ -33,9 +34,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import Element, _sorted_spectrum, inner_product, is_invertible, p_norm
-from .errors import DegenerateInputError, UnsupportedCaseError, check_count
-from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate
+from .elements import Element, _sorted_spectrum
+from .errors import AlgebraMismatchError, DegenerateInputError, UnsupportedCaseError, check_count
+from .exponents import ExponentLike, ExtExponent, cp_constant, interpolate, vector_pnorm
 from .linmaps import (
     _SQRT8,
     EstimatorConfig,
@@ -278,12 +279,15 @@ def check_corollary4(
 class ThreeLinesReport:
     """Sampled data for one run of the analytic-family argument.
 
-    phi(z) = <T~(a_z), b_z> on the unit strip, where a_z deforms a
-    through its own frame (exponent alpha(z)/alpha on |eigenvalue|) and
-    b_z deforms b with exponent (1-beta(z))/(1-beta). At z = theta the
-    family returns the original pairing. Sups are over the sampled grid
-    on the two boundary lines, so they are lower bounds for the true
-    line sups; geometric_bound is their interpolated product."""
+    phi(z) = <T a_z, b_z> on the unit strip, a bilinear pairing, so phi is
+    analytic. a_z = sum_j sign(lam_j) |lam_j|^(alpha(z)/alpha) c_j over a's
+    Jordan frame, lam_j the eigenvalues of a / ||a||_{r_theta}, with
+    alpha(z) = (1-z)/r0 + z/r1 and alpha = 1/r_theta; b_z is the same
+    family of b at the conjugate exponents s0', s1', s_theta'. At
+    z = theta the family returns the original pairing. Sups are over the
+    sampled grid |Im z| <= 10 on the two boundary lines, so they are lower
+    bounds for the true line sups; geometric_bound is their interpolated
+    product."""
 
     theta: float
     phi_theta: complex
@@ -310,6 +314,27 @@ def _family_weights(lam: np.ndarray, expo: np.ndarray) -> np.ndarray:
     return np.exp(np.log(np.abs(lam))[None, :] * expo[:, None])
 
 
+def _family(x: Element, p0: ExtExponent, p1: ExtExponent, p: ExtExponent, z: np.ndarray):
+    """Rows sum_j sign(lam_j) |lam_j|^(((1-z)/p0 + z/p1) p) c_j at each z,
+    shape (z.size, dim), and ||x||_p, from one decomposition of x: lam_j
+    are the eigenvalues of x / ||x||_p over its sorted Jordan frame c_j.
+    p = inf forces p0 = p1 = inf, and the weights are then |lam_j|."""
+    # the stable decreasing order fixes the summation order of the rows
+    lam, frame = _sorted_spectrum(x)
+    norm = float(vector_pnorm(lam, p))
+    if norm <= 0:
+        raise DegenerateInputError("three-lines family needs nonzero a and b")
+    lam = lam / norm
+    mags = np.abs(lam)
+    if mags.min() <= 1e-8 * max(1.0, mags.max()):
+        raise DegenerateInputError("three-lines family needs invertible a and b")
+    if p.is_inf:
+        w = np.broadcast_to(mags, (z.size, lam.size))
+    else:
+        w = _family_weights(lam, ((1 - z) * p0.inv + z * p1.inv) / p.inv)
+    return (np.where(lam >= 0, 1.0, -1.0) * w) @ frame, norm
+
+
 def three_lines_demo(
     t: LinearMap,
     a: Element,
@@ -322,59 +347,30 @@ def three_lines_demo(
 
     a and b are normalized to ||a||_{r_theta} = ||b||_{s_theta'} = 1 and
     must be invertible (all eigenvalues away from zero); the family
-    needs |eigenvalue|^z. Exponent degeneracies (r_theta = inf on the a
-    side, s_theta = 1 on the b side) force both endpoints to the same
-    value, and the family is constant there by convention.
+    needs |eigenvalue|^z. Each is decomposed once. Exponent degeneracies
+    (r_theta = inf on the a side, s_theta = 1 on the b side) force both
+    endpoints to the same value, and the family is constant there by
+    convention.
     """
     check_count("grid_points", grid_points, 1)
     rt, st = pair.at(theta)  # ValueError unless theta lies in [0, 1]
-    na, nb = p_norm(a, rt), p_norm(b, st.conjugate)
-    if na <= 0 or nb <= 0:
-        raise DegenerateInputError("three-lines family needs nonzero a and b")
-    a = Element(a.algebra, a.coords / na)
-    b = Element(b.algebra, b.coords / nb)
-    for label, v in (("a", a), ("b", b)):
-        if not is_invertible(v, tol=1e-8 * max(1.0, p_norm(v, "inf"))):
-            raise DegenerateInputError(f"three-lines family needs invertible {label}")
-
-    # the stable decreasing order fixes the summation order of the coordinates
-    (lam_a, frame_a), (lam_b, frame_b) = _sorted_spectrum(a), _sorted_spectrum(b)
-    eps_a = np.where(lam_a >= 0, 1.0, -1.0)
-    eps_b = np.where(lam_b >= 0, 1.0, -1.0)
-
-    alpha0, alpha1, alpha = pair.r0.inv, pair.r1.inv, rt.inv
-    beta0, beta1, beta = pair.s0.inv, pair.s1.inv, st.inv
-
+    if a.algebra != t.algebra or b.algebra != t.algebra:
+        raise AlgebraMismatchError("three-lines operands live on another algebra than the map")
     im = np.linspace(-_GRID_SPAN, _GRID_SPAN, grid_points)
-    z0, z1 = 1j * im, 1.0 + 1j * im
-    z_all = np.concatenate([z0, z1, [complex(theta)]])
-
-    if alpha == 0.0:
-        # r_theta = inf forces r0 = r1 = inf: constant family
-        wa = np.tile(np.abs(lam_a), (z_all.size, 1)).astype(complex)
-    else:
-        wa = _family_weights(lam_a, ((1 - z_all) * alpha0 + z_all * alpha1) / alpha)
-    if beta == 1.0:
-        # s_theta = 1 forces s0 = s1 = 1: constant family
-        wb = np.tile(np.abs(lam_b), (z_all.size, 1)).astype(complex)
-    else:
-        wb = _family_weights(lam_b, (1 - ((1 - z_all) * beta0 + z_all * beta1)) / (1 - beta))
-
-    a_coords = (eps_a * wa) @ frame_a
-    b_coords = (eps_b * wb) @ frame_b
-    ta = a_coords @ t.matrix.T
-    phi = np.einsum("gk,gk->g", ta, np.conj(b_coords))
-
-    m = grid_points
-    abs0, abs1 = np.abs(phi[:m]), np.abs(phi[m:2 * m])
-    phi_theta = complex(phi[-1])
+    z = np.concatenate([1j * im, 1.0 + 1j * im, [complex(theta)]])
+    a_z, na = _family(a, pair.r0, pair.r1, rt, z)
+    # b's exponent (1 - beta(z)) / (1 - beta) is ((1-z)/s0' + z/s1') s_theta'
+    b_z, nb = _family(b, pair.s0.conjugate, pair.s1.conjugate, st.conjugate, z)
+    phi = np.einsum("gk,gk->g", a_z @ t.matrix.T, b_z)
+    abs0, abs1 = np.abs(phi[:grid_points]), np.abs(phi[grid_points:-1])
     sup0, sup1 = float(abs0.max()), float(abs1.max())
-    pairing = inner_product(t(a), b)
+    phi_theta = complex(phi[-1])
+    pairing = float(t.matrix @ a.coords @ b.coords) / (na * nb)
 
     return ThreeLinesReport(
         theta=float(theta),
         phi_theta=phi_theta,
-        pairing=float(pairing),
+        pairing=pairing,
         pairing_error=abs(phi_theta - pairing),
         sup_line0=sup0,
         sup_line1=sup1,

@@ -22,7 +22,7 @@ from .errors import NonFiniteInputError, ReportError, check_count
 from .exponents import ExtExponent
 from .linmaps import EstimatorConfig
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 REPLAY_TOL = 1e-12  # a replayed margin may differ by this much, relative to max(1, |margin|)
 
 DEFAULT_GRID = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)

@@ -34,8 +34,8 @@ def rng():
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Counts the calls of Algebra.eigenvalues and Algebra.jordan."""
-    counted = {"eigenvalues": 0, "jordan": 0}
+    """Counts the calls of Algebra.eigenvalues, Algebra.decomp and Algebra.jordan."""
+    counted = {"eigenvalues": 0, "decomp": 0, "jordan": 0}
     for name in counted:
         real = getattr(Algebra, name)
 

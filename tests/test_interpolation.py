@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jspec import (
+    AlgebraMismatchError,
     BoundReport,
     DegenerateInputError,
     Element,
@@ -37,6 +38,7 @@ from jspec import (
     theorem2_constant_theta,
     three_lines_demo,
     unit,
+    vector_pnorm,
 )
 
 CFG = EstimatorConfig(restarts=16, max_iters=120, tol=1e-11, seed=0)
@@ -53,14 +55,16 @@ def _complex_norm(algebra, u, p):
 
 
 def _pairing(u, v):
-    # the pairing three_lines_demo takes between its two families
+    # the inner product of the complexification; three_lines_demo pairs its
+    # families bilinearly, sum u v = _pairing(u, conj(v)), and conj keeps
+    # ||v||_p, so the Hoelder bounds below hold for that pairing too
     return complex(np.einsum("k,k->", u, np.conj(v)))
 
 
 class TestComplexLayer:
     """The complexified algebra as three_lines_demo holds it: complex chart
     rows u = a + ib with Elements a and b as parts, the norm
-    ||a||_p + ||b||_p, and the pairing <u, v> = sum u conj(v), the
+    ||a||_p + ||b||_p, and the inner product <u, v> = sum u conj(v), the
     sesquilinear extension of the trace inner product."""
 
     @staticmethod
@@ -417,23 +421,24 @@ class TestThreeLines:
         [((1, 4, 2, 4), 0.5), ((1, 3, 1.5, "inf"), 0.3), (("inf", "inf", 2, 4), 0.6), ((1, 4, 1, 1), 0.45)],
     )
     def test_frames_as_arrays_match_decomposition_frames(self, algebra, pair, theta):
-        # reference: the family built from spectral_decomposition's frame
-        # Elements, stacked back into arrays; the demo must match it bit for bit
+        # reference: each family built from spectral_decomposition's frame
+        # Elements of the operand, its eigenvalues divided by their p-norm,
+        # the b side at the conjugate exponents, paired bilinearly; the demo
+        # must match it bit for bit
         pair = ExponentPair.of(*pair)
         rt, st = pair.at(theta)
         grid_points = 41
         im = np.linspace(-10.0, 10.0, grid_points)
         z = np.concatenate([1j * im, 1.0 + 1j * im, [complex(theta)]])
-        # exponents of |eigenvalue| along z; None where the family is constant
-        expo_a = ((1 - z) * pair.r0.inv + z * pair.r1.inv) / rt.inv if rt.inv else None
-        expo_b = (1 - ((1 - z) * pair.s0.inv + z * pair.s1.inv)) / (1 - st.inv) if st.inv != 1.0 else None
 
-        def family(v, norm, expo):
-            d = spectral_decomposition(Element(algebra, v.coords / norm))
+        def family(v, p0, p1, p):
+            d = spectral_decomposition(v)
             lam, frame = np.asarray(d.eigenvalues), np.stack([f.coords for f in d.frame])
-            if expo is None:
-                w = np.tile(np.abs(lam), (z.size, 1)).astype(complex)
+            lam = lam / vector_pnorm(lam, p)
+            if p.is_inf:  # constant family
+                w = np.tile(np.abs(lam), (z.size, 1))
             else:
+                expo = ((1 - z) * p0.inv + z * p1.inv) / p.inv
                 w = np.exp(np.log(np.abs(lam))[None, :] * expo[:, None])
             return (np.where(lam >= 0, 1.0, -1.0) * w) @ frame
 
@@ -443,13 +448,36 @@ class TestThreeLines:
         for a, b in ((random_element(algebra, 71, spectrum), random_element(algebra, 72)),
                      (unit(algebra), random_element(algebra, 73, spectrum))):
             rep = three_lines_demo(t, a, b, pair, theta, grid_points=grid_points)
-            fa = family(a, p_norm(a, rt), expo_a)
-            fb = family(b, p_norm(b, st.conjugate), expo_b)
-            phi = np.einsum("gk,gk->g", fa @ t.matrix.T, np.conj(fb))
+            fa = family(a, pair.r0, pair.r1, rt)
+            fb = family(b, pair.s0.conjugate, pair.s1.conjugate, st.conjugate)
+            phi = np.einsum("gk,gk->g", fa @ t.matrix.T, fb)
             assert rep.phi_theta == complex(phi[-1])
             line0, line1 = np.abs(phi[:grid_points]), np.abs(phi[grid_points:-1])
             assert np.array_equal(rep.abs_line0, line0) and np.array_equal(rep.abs_line1, line1)
             assert (rep.sup_line0, rep.sup_line1) == (line0.max(), line1.max())
+
+    def test_one_decomposition_per_operand(self, algebra, kernel_calls):
+        # the family, the norms and the invertibility test all read one
+        # decomposition of a and one of b
+        t = random_map(algebra, 74)
+        a, b = (random_element(algebra, seed, np.linspace(1.0, 2.0, algebra.rank)) for seed in (75, 76))
+        three_lines_demo(t, a, b, ExponentPair.of(1, 4, 2, 4), 0.5, grid_points=11)
+        assert (kernel_calls["decomp"], kernel_calls["eigenvalues"]) == (2, 0)
+
+    def test_hirschman_inequality_on_the_lines(self):
+        # log|phi(theta)| <= int P0 log|phi(it)| + int P1 log|phi(1+it)|
+        # with the Poisson kernels of the strip: the sharp three-lines
+        # theorem, which holds only when phi is analytic
+        rng = np.random.default_rng(1)
+        t, a, b = random_map(SYM3, rng), random_element(SYM3, rng), random_element(SYM3, rng)
+        exps = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
+        pair = ExponentPair.of(*(exps[int(rng.integers(len(exps)))] for _ in range(4)))
+        theta = float(rng.uniform(0.05, 0.95))
+        rep = three_lines_demo(t, a, b, pair, theta, grid_points=4001)
+        sin, cos, cosh = math.sin(math.pi * theta), math.cos(math.pi * theta), np.cosh(math.pi * rep.grid_im)
+        mean = (np.trapezoid(sin / (2 * (cosh - cos)) * np.log(rep.abs_line0), rep.grid_im)
+                + np.trapezoid(sin / (2 * (cosh + cos)) * np.log(rep.abs_line1), rep.grid_im))
+        assert math.log(abs(rep.phi_theta)) <= mean + 1e-6
 
     def test_rejects_noninvertible(self):
         t, a, b = self._instance(61)
@@ -463,6 +491,14 @@ class TestThreeLines:
         t, a, b = self._instance(63)
         with pytest.raises(DegenerateInputError):
             three_lines_demo(t, zero(SYM3), b, ExponentPair.of(1, 4, 2, 4), 0.5)
+
+    def test_rejects_operands_of_another_algebra(self):
+        # sym:2 and spin:3 both have dim 3, so the chart arrays would pair
+        spin3 = parse_algebra("spin:3")
+        t = random_map(parse_algebra("sym:2"), 65)
+        a, b = random_element(spin3, 66, [2.0, 1.0]), random_element(spin3, 67, [-1.0, -2.0])
+        with pytest.raises(AlgebraMismatchError):
+            three_lines_demo(t, a, b, ExponentPair.of(1, 4, 2, 4), 0.5)
 
     def test_rejects_bad_theta(self):
         t, a, b = self._instance(64)

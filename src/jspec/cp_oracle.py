@@ -62,7 +62,7 @@ class CpProblem:
     p: ExtExponent
 
     def __post_init__(self):
-        check_count("n", self.n, 2)
+        check_count("n", self.n, 2, size=True)
         object.__setattr__(self, "p", ExtExponent.coerce(self.p))
 
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -103,7 +103,7 @@ def cp_bruteforce(problem: CpProblem, starts: int = 200, seed: int = 0) -> CpSea
     1e-11 below the maximum with 200 starts (about 2e-10 with 24); on the
     finite exponents of the acceptance grid it is within a few ulps.
     """
-    check_count("starts", starts, 1)
+    check_count("starts", starts, 1, size=True)
     n, p = problem.n, problem.p
     rng = np.random.default_rng(seed)
     xy = rng.standard_normal((starts, 2 * n))
@@ -244,7 +244,7 @@ def aggregate_split_check(
     if pex.is_inf:
         raise ValueError("aggregation needs finite p")
     check_count("trials", trials, 1)
-    check_count("n", n, 1)
+    check_count("n", n, 1, size=True)
     pv = pex.value
     bound = 2.0 ** (1.0 - pv / 2.0) if pv <= 2.0 else 1.0
     rng = np.random.default_rng(seed)

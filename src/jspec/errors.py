@@ -3,9 +3,10 @@ every entry point applies to outside input: real_array (element coords,
 map and congruence matrices, spectra, mixture weights), check_count
 (restarts, max_iters, seed, trials, starts, n, grid_points) and check_tol
 (the tol of EstimatorConfig and is_invertible). Each raises TypeError on
-complex input, a non-integer count or a bool, ValueError on a wrong shape
-or a value below its minimum, and NonFiniteInputError on a NaN or
-infinite value. This module imports nothing else from the package."""
+complex input, a non-integer count or a bool, ValueError on a wrong shape,
+a value below its minimum or an array size past NumPy's largest
+dimension, and NonFiniteInputError on a NaN or infinite value. This
+module imports nothing else from the package."""
 
 import numbers
 
@@ -55,12 +56,16 @@ def real_array(x, shape: tuple, what: str) -> np.ndarray:
     return a
 
 
-def check_count(name: str, value, low: int) -> None:
-    """Reject a count that is not an integer (a bool included) or is below low."""
+def check_count(name: str, value, low: int, size: bool = False) -> None:
+    """Reject a count that is not an integer (a bool included), is below
+    low or, if it sizes an array (size), is past NumPy's largest dimension."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    high = np.iinfo(np.intp).max
+    if size and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def check_tol(name: str, value) -> None:

@@ -352,7 +352,7 @@ def three_lines_demo(
     endpoints to the same value, and the family is constant there by
     convention.
     """
-    check_count("grid_points", grid_points, 1)
+    check_count("grid_points", grid_points, 1, size=True)
     rt, st = pair.at(theta)  # ValueError unless theta lies in [0, 1]
     if a.algebra != t.algebra or b.algebra != t.algebra:
         raise AlgebraMismatchError("three-lines operands live on another algebra than the map")

@@ -260,8 +260,8 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            check_count(name, getattr(self, name), low)
+        for name, low, size in (("restarts", 1, True), ("max_iters", 1, False), ("seed", 0, False)):
+            check_count(name, getattr(self, name), low, size)
         check_tol("tol", self.tol)
 
 
@@ -387,10 +387,9 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
     """estimate_many's ascent over distinct, coerced problems (m, r, s,
     cfg), each on the map matrix maps[m]."""
     e = alg.unit_coords()
-    lam_e = alg.eigenvalues(e)
 
-    def unit_at(p: ExtExponent) -> np.ndarray:  # the unit scaled to ||.||_p = 1
-        return e / float(vector_pnorm(lam_e, p))
+    def unit_at(p: ExtExponent) -> np.ndarray:  # e / ||e||_p, read off lambda(e) = (1, ..., 1)
+        return e / float(vector_pnorm(np.ones(alg.rank), p))
 
     out: list = [None] * len(probs)
     live = []
@@ -427,11 +426,12 @@ def _ascent(alg: Algebra, cfg: EstimatorConfig, maps: np.ndarray, probs: list) -
         hit = r_k == k
         norm[hit] = vector_pnorm(lam[member[hit]], exps[k])
     del lam
-    cert = np.empty(len(live))  # a best value at or above this is certified
-    for j, i in enumerate(live):
-        m, rex, sex, _ = probs[i]
-        upper = float(sv[m, 0]) * alg.rank ** max(0.0, 0.5 - rex.inv) * alg.rank ** max(0.0, sex.inv - 0.5)
-        cert[j] = upper - cfg.tol * max(1.0, upper)
+    # upper = sigma_max n^max(0, 1/2 - 1/r) n^max(0, 1/s - 1/2), with Python's
+    # pow (NumPy's can differ in the last bit); a best at or above cert is certified
+    n_r = np.array([alg.rank ** max(0.0, 0.5 - probs[i][1].inv) for i in live])
+    n_s = np.array([alg.rank ** max(0.0, probs[i][2].inv - 0.5) for i in live])
+    upper = sv[mk, 0] * n_r * n_s
+    cert = upper - cfg.tol * np.maximum(1.0, upper)
     a_rows = starts[member] / norm[..., None]
     b_rows = np.repeat(units[sp_k][:, None, :], cfg.restarts, axis=1)
     values = np.full((len(live), cfg.restarts), -np.inf)

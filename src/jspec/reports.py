@@ -63,8 +63,8 @@ class CampaignConfig:
         if self.suite not in SUITE_IDS:
             raise ReportError(f"unknown suite {self.suite!r}; expected one of {', '.join(SUITE_IDS)}")
         try:  # the counts obey check_count, the estimator settings EstimatorConfig
-            for name, low in (("trials", 1), ("starts", 1), ("n", 2)):
-                check_count(name, getattr(self, name), low)
+            for name, low, size in (("trials", 1, False), ("starts", 1, True), ("n", 2, True)):
+                check_count(name, getattr(self, name), low, size)
             EstimatorConfig(restarts=self.restarts, max_iters=self.max_iters, tol=self.tol, seed=self.seed)
         except (TypeError, ValueError, NonFiniteInputError) as exc:
             raise ReportError(str(exc)) from None

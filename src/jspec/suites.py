@@ -1,13 +1,14 @@
 """Campaign suites: seed-deterministic falsification and validation
 runs, assembled into integrity-checked reports.
 
-Every suite derives per-trial randomness from (config seed, trial
-index) and judges its trials in order. The estimator suites plan
-consecutive trials, hand all their norm problems to one estimate_many
-call while it fits _EST_FLOATS floats, then judge each of those trials
-(_estimated); a check that reruns its estimates does so alone. Each
-problem keeps its trial's seed and estimate_many's results do not
-depend on the batch, so neither do the reports.
+Every suite derives per-trial randomness from (seed, salt, trial) and
+judges its trials in order. The estimator suites run their trials
+through _estimated, which draws each trial's plan from its generator,
+hands consecutive trials' norm problems to one estimate_many call while
+it fits _EST_FLOATS floats, then each trial's bounds to the judge its
+plan returned; a check that reruns its estimates does so alone. Each
+problem keeps its trial's seed and estimate_many's results do not depend
+on the batch, so neither do the reports.
 
 The bulk suites (ftvn, holder, gen-holder) draw their rows from one
 generator per suite or per exponent group, and draw and check them in
@@ -96,38 +97,39 @@ def _fold(rows, worst: str, **margins) -> tuple[dict, list]:
     return out, top
 
 
-def _estimated(cfg: CampaignConfig, alg: Algebra, plan):
-    """Each trial's context and the lower bounds of its norms, in trial
-    order.
+def _estimated(cfg: CampaignConfig, alg: Algebra, salt: int, plan):
+    """judge(bounds) of each trial, in trial order.
 
-    plan(trial, ecfg) returns (ctx, t, norms): the trial's context, its
-    map and the (r, s) of each norm to estimate with ecfg, the campaign's
-    estimator settings seeded for the trial. Consecutive trials share one
-    estimate_many call while it holds at most _EST_FLOATS floats of
-    problems x restarts x dim; a trial past that alone gets a call of its
-    own. A chunk's trials are planned, estimated and yielded before the
-    next chunk is planned, so memory does not grow with cfg.trials.
+    plan(trial, rng, ecfg) draws the trial from rng, the generator of
+    (cfg.seed, salt, trial), and returns (judge, t, norms): the judge of
+    the lower bounds of the norms (r, s) of map t, estimated with ecfg,
+    the campaign's estimator settings seeded for the trial. Consecutive
+    trials share one estimate_many call while it holds at most
+    _EST_FLOATS floats of problems x restarts x dim; a trial past that
+    alone gets a call of its own. A chunk's trials are planned, estimated
+    and judged before the next chunk is planned, so memory does not grow
+    with cfg.trials.
     """
     per_problem = cfg.restarts * alg.dim
     chunk, problems = [], []
     for trial in range(cfg.trials):
         ecfg = EstimatorConfig(restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
                                seed=derive_seed(cfg.seed, 7, trial, 0))
-        ctx, t, norms = plan(trial, ecfg)
+        judge, t, norms = plan(trial, _rng(cfg.seed, salt, trial), ecfg)
         if chunk and (len(problems) + len(norms)) * per_problem > _EST_FLOATS:
             yield from _chunk_bounds(chunk, problems)
             chunk, problems = [], []
-        chunk.append((ctx, len(norms)))
+        chunk.append((judge, len(norms)))
         problems += [(t, r, s, ecfg) for r, s in norms]
     yield from _chunk_bounds(chunk, problems)
 
 
 def _chunk_bounds(chunk: list, problems: list):
-    """One estimate_many call for a chunk; each (ctx, n problems) of the
-    chunk gets its context and its n lower bounds back."""
+    """One estimate_many call for a chunk; each (judge, n problems) of
+    the chunk judges its n lower bounds, in order."""
     bounds = iter([est.lower_bound for est in estimate_many(problems)])
-    for ctx, n in chunk:
-        yield ctx, [next(bounds) for _ in range(n)]
+    for judge, n in chunk:
+        yield judge([next(bounds) for _ in range(n)])
 
 
 # -- inequality suites ---------------------------------------------------
@@ -257,43 +259,42 @@ def _suite_gen_holder(cfg: CampaignConfig, alg: Algebra):
 def _norm_family_suite(cfg: CampaignConfig, alg: Algebra, kind: str):
     pairs = [(r, s) for r in cfg.exponents for s in cfg.exponents]
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        a = random_element(alg, _rng(cfg.seed, 6, trial))
-        return a, lyapunov(a) if kind == "lyapunov" else quadratic_rep(a), pairs
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
+        a = random_element(alg, rng)
 
-    def one(trial: int, a, ests: list) -> dict:
-        out = {"trial": trial, "exact_delta": 0.0, "upper_overshoot": -math.inf,
-               "lower_slack": math.inf, "case": None}
-        lam = alg.eigenvalues(a.coords)  # one spectrum serves every pair's closed form
-        for (r, s), est in zip(pairs, ests):
-            cf = _spectral_form(kind, lam, r, s)
-            if cf.is_exact:
-                delta = abs(est - cf.exact) / max(1.0, cf.exact)
-                if delta > out["exact_delta"]:
-                    out["exact_delta"] = delta
-                    out["case"] = [exponent_to_json(r.value), exponent_to_json(s.value)]
-            else:
-                over = (est - cf.upper) / max(1.0, cf.upper)
-                slack = (est - cf.lower) / max(1.0, cf.lower)
-                out["upper_overshoot"] = max(out["upper_overshoot"], over)
-                out["lower_slack"] = min(out["lower_slack"], slack)
-        # a grid whose pairs all have closed forms leaves both bracket
-        # fields infinite, which JSON cannot hold; report 0.0 for them
-        for key in ("upper_overshoot", "lower_slack"):
-            if not math.isfinite(out[key]):
-                out[key] = 0.0
-        return out
+        def judge(ests: list) -> dict:
+            out = {"trial": trial, "exact_delta": 0.0, "upper_overshoot": -math.inf,
+                   "lower_slack": math.inf, "case": None}
+            lam = alg.eigenvalues(a.coords)  # one spectrum serves every pair's closed form
+            for (r, s), est in zip(pairs, ests):
+                cf = _spectral_form(kind, lam, r, s)
+                if cf.is_exact:
+                    delta = abs(est - cf.exact) / max(1.0, cf.exact)
+                    if delta > out["exact_delta"]:
+                        out["exact_delta"] = delta
+                        out["case"] = [exponent_to_json(r.value), exponent_to_json(s.value)]
+                else:
+                    over = (est - cf.upper) / max(1.0, cf.upper)
+                    slack = (est - cf.lower) / max(1.0, cf.lower)
+                    out["upper_overshoot"] = max(out["upper_overshoot"], over)
+                    out["lower_slack"] = min(out["lower_slack"], slack)
+            # a grid whose pairs all have closed forms leaves both bracket
+            # fields infinite, which JSON cannot hold; report 0.0 for them
+            for key in ("upper_overshoot", "lower_slack"):
+                if not math.isfinite(out[key]):
+                    out[key] = 0.0
+            return out
 
-    rows = (one(trial, a, ests) for trial, (a, ests) in enumerate(_estimated(cfg, alg, plan)))
-    margins, top = _fold(rows, "exact_delta", max_exact_delta=(max, "exact_delta"),
+        return judge, lyapunov(a) if kind == "lyapunov" else quadratic_rep(a), pairs
+
+    margins, top = _fold(_estimated(cfg, alg, 6, plan), "exact_delta", max_exact_delta=(max, "exact_delta"),
                          max_upper_overshoot=(max, "upper_overshoot"), min_lower_slack=(min, "lower_slack"))
     passed = (margins["max_exact_delta"] <= EST_RTOL and margins["max_upper_overshoot"] <= INEQ_SLACK
               and margins["min_lower_slack"] >= -EST_RTOL)
     return passed, margins, top
 
 
-def _positive_map(cfg: CampaignConfig, alg: Algebra, trial: int) -> tuple[str, LinearMap]:
-    rng = _rng(cfg.seed, 8, trial)
+def _positive_map(rng: np.random.Generator, alg: Algebra, trial: int) -> tuple[str, LinearMap]:
     single_sym = len(alg.factors) == 1 and isinstance(alg.factors[0], SymMatrix)
     if trial % 2 == 0:
         return "quadratic", quadratic_rep(random_element(alg, rng))
@@ -316,27 +317,27 @@ def _suite_positive(cfg: CampaignConfig, alg: Algebra):
     # per exponent: the two identity problems, then the three capped ones
     pairs = [rs for p in exps for rs in ((inf, p), (p, one_exp), (p, inf), (one_exp, p), (p, p))]
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        family, pm = _positive_map(cfg, alg, trial)
-        return (family, pm), pm, pairs
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
+        family, pm = _positive_map(rng, alg, trial)
 
-    def one(trial: int, family: str, pm: LinearMap, bounds: list) -> dict:
-        form = _positive_form(pm)  # P(e) and P*(e) decomposed once, for every pair
-        judged = iter(zip(bounds, (form(r, s) for r, s in pairs)))
-        out = {"trial": trial, "family": family, "identity_delta": 0.0,
-               "cap_overshoot": -math.inf, "case": None}
-        for p in exps:
-            d = max(abs(est - cf.exact) / max(1.0, cf.exact) for est, cf in islice(judged, 2))
-            if d > out["identity_delta"]:
-                out["identity_delta"] = d
-                out["case"] = exponent_to_json(p.value)
-            for est, cf in islice(judged, 3):
-                out["cap_overshoot"] = max(out["cap_overshoot"], (est - cf.upper) / max(1.0, cf.upper))
-        return out
+        def judge(bounds: list) -> dict:
+            form = _positive_form(pm)  # P(e) and P*(e) decomposed once, for every pair
+            judged = iter(zip(bounds, (form(r, s) for r, s in pairs)))
+            out = {"trial": trial, "family": family, "identity_delta": 0.0,
+                   "cap_overshoot": -math.inf, "case": None}
+            for p in exps:
+                d = max(abs(est - cf.exact) / max(1.0, cf.exact) for est, cf in islice(judged, 2))
+                if d > out["identity_delta"]:
+                    out["identity_delta"] = d
+                    out["case"] = exponent_to_json(p.value)
+                for est, cf in islice(judged, 3):
+                    out["cap_overshoot"] = max(out["cap_overshoot"], (est - cf.upper) / max(1.0, cf.upper))
+            return out
 
-    rows = (one(trial, *ctx, ests) for trial, (ctx, ests) in enumerate(_estimated(cfg, alg, plan)))
-    margins, top = _fold(rows, "identity_delta", max_identity_delta=(max, "identity_delta"),
-                         max_cap_overshoot=(max, "cap_overshoot"))
+        return judge, pm, pairs
+
+    margins, top = _fold(_estimated(cfg, alg, 8, plan), "identity_delta",
+                         max_identity_delta=(max, "identity_delta"), max_cap_overshoot=(max, "cap_overshoot"))
     passed = margins["max_identity_delta"] <= EST_RTOL and margins["max_cap_overshoot"] <= INEQ_SLACK
     return passed, margins, top
 
@@ -348,15 +349,14 @@ def _pick(rng: np.random.Generator, exps: tuple) -> ExtExponent:
     return exps[int(rng.integers(len(exps)))]
 
 
-def _interp_suite(cfg: CampaignConfig, alg: Algebra, plan) -> tuple[bool, dict, list]:
-    """plan(trial, ecfg) returns (check, t, norms): check(first) judges
-    the trial from the first-pass bounds of the norms (r, s) of map t on
-    alg and returns (BoundReport, extra margins, each a maximum over
+def _interp_suite(cfg: CampaignConfig, alg: Algebra, salt: int, plan) -> tuple[bool, dict, list]:
+    """An interpolation campaign through _estimated(cfg, alg, salt,
+    plan): each plan's judge takes the first-pass bounds of its trial's
+    norms and returns (BoundReport, extra margins, each a maximum over
     trials). Only the reports that can become witnesses are kept, so
     memory does not grow with cfg.trials."""
     top, violated, margins = None, [], {"max_lhs_over_rhs": -math.inf, "violations": 0, "reruns": 0}
-    for check, first in _estimated(cfg, alg, plan):
-        rep, extra = check(first)
+    for rep, extra in _estimated(cfg, alg, salt, plan):
         ratio = float(rep.lhs_lower / max(rep.rhs, 1e-30))
         if ratio > margins["max_lhs_over_rhs"]:
             margins["max_lhs_over_rhs"], top = ratio, rep
@@ -376,21 +376,20 @@ def _suite_theorem1(cfg: CampaignConfig, alg: Algebra):
     probes whose diagonal norms must stay at most 1."""
     exps = cfg.exponents
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        rng = _rng(cfg.seed, 9, trial)
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
         theta = float(rng.uniform())
         p0, p1 = _pick(rng, exps), _pick(rng, exps)
         probe = trial % 5 == 4
         t = random_doubly_stochastic(alg, rng) if probe else random_map(alg, rng)
 
-        def check(first):
+        def judge(first):
             # the probe's diagonal norms are the check's first-pass endpoint norms
             extra = {"max_ds_overshoot": float(max(m - 1.0 for m in first[1:]))} if probe else {}
             return check_theorem1(t, p0, p1, theta, ecfg, first=first), extra
 
-        return check, t, theorem1_case(p0, p1, theta).norms
+        return judge, t, theorem1_case(p0, p1, theta).norms
 
-    return _interp_suite(cfg, alg, plan)
+    return _interp_suite(cfg, alg, 9, plan)
 
 
 def _suite_theorem2(cfg: CampaignConfig, alg: Algebra):
@@ -398,19 +397,18 @@ def _suite_theorem2(cfg: CampaignConfig, alg: Algebra):
     theta-dependent constants."""
     exps = cfg.exponents
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        rng = _rng(cfg.seed, 10, trial)
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
         t = random_map(alg, rng)
         pair = ExponentPair(_pick(rng, exps), _pick(rng, exps), _pick(rng, exps), _pick(rng, exps))
         theta = float(rng.uniform())
         sharp = bool(trial % 2)
 
-        def check(first):
+        def judge(first):
             return check_theorem2(t, pair, theta, ecfg, theta_constant=sharp, first=first), {}
 
-        return check, t, theorem2_case(pair, theta, sharp).norms
+        return judge, t, theorem2_case(pair, theta, sharp).norms
 
-    return _interp_suite(cfg, alg, plan)
+    return _interp_suite(cfg, alg, 10, plan)
 
 
 def _suite_corollary4(cfg: CampaignConfig, alg: Algebra):
@@ -420,8 +418,7 @@ def _suite_corollary4(cfg: CampaignConfig, alg: Algebra):
     if len({e.value for e in exps}) < 2:
         raise ReportError("corollary4 suite needs at least two distinct grid exponents")
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        rng = _rng(cfg.seed, 11, trial)
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
         t = random_map(alg, rng)
         r = _pick(rng, exps)
         s = _pick(rng, exps)
@@ -429,12 +426,12 @@ def _suite_corollary4(cfg: CampaignConfig, alg: Algebra):
             s = _pick(rng, exps)
         improved = bool(trial % 2)
 
-        def check(first):
+        def judge(first):
             return check_corollary4(t, r, s, ecfg, improved=improved, first=first), {}
 
-        return check, t, corollary4_case(r, s, improved).norms
+        return judge, t, corollary4_case(r, s, improved).norms
 
-    return _interp_suite(cfg, alg, plan)
+    return _interp_suite(cfg, alg, 11, plan)
 
 
 def _suite_three_lines(cfg: CampaignConfig, alg: Algebra):
@@ -443,8 +440,7 @@ def _suite_three_lines(cfg: CampaignConfig, alg: Algebra):
     cap is c_{r_j} c_{s_j'} ||T||_{r_j -> s_j}, with the estimated norm."""
     exps = cfg.exponents
 
-    def plan(trial: int, ecfg: EstimatorConfig):
-        rng = _rng(cfg.seed, 12, trial)
+    def plan(trial: int, rng: np.random.Generator, ecfg: EstimatorConfig):
         t = random_map(alg, rng)
         pair = ExponentPair(_pick(rng, exps), _pick(rng, exps), _pick(rng, exps), _pick(rng, exps))
         theta = float(rng.uniform(0.05, 0.95))
@@ -458,26 +454,26 @@ def _suite_three_lines(cfg: CampaignConfig, alg: Algebra):
                 continue
         else:
             raise DegenerateInputError("could not draw invertible elements")
-        # only scalars are kept while the chunk is estimated, not the grid arrays
-        geo_over = (abs(rep.phi_theta) - rep.geometric_bound) / max(rep.geometric_bound, 1e-30)
-        ctx = (pair, theta, rep.pairing_error, float(geo_over), rep.sup_line0, rep.sup_line1)
-        return ctx, t, ((pair.r0, pair.s0), (pair.r1, pair.s1))
+        # the judge keeps only scalars while the chunk is estimated, not the grid arrays
+        geo_over = float((abs(rep.phi_theta) - rep.geometric_bound) / max(rep.geometric_bound, 1e-30))
+        pairing_error, sup0, sup1 = rep.pairing_error, rep.sup_line0, rep.sup_line1
 
-    def one(trial: int, ctx: tuple, bounds: list) -> dict:
-        pair, theta, pairing_error, geo_over, sup0, sup1 = ctx
-        cap0, cap1 = (pair.endpoint_factor(j) * bounds[j] for j in (0, 1))
-        cap_over = max((sup0 - cap0) / max(cap0, 1e-30), (sup1 - cap1) / max(cap1, 1e-30))
-        return {
-            "trial": trial,
-            "pairing_error": pairing_error,
-            "geo_overshoot": geo_over,
-            "cap_overshoot": float(cap_over),
-            "theta": theta,
-        }
+        def judge(bounds: list) -> dict:
+            cap0, cap1 = (pair.endpoint_factor(j) * bounds[j] for j in (0, 1))
+            cap_over = max((sup0 - cap0) / max(cap0, 1e-30), (sup1 - cap1) / max(cap1, 1e-30))
+            return {
+                "trial": trial,
+                "pairing_error": pairing_error,
+                "geo_overshoot": geo_over,
+                "cap_overshoot": float(cap_over),
+                "theta": theta,
+            }
 
-    rows = (one(trial, ctx, bounds) for trial, (ctx, bounds) in enumerate(_estimated(cfg, alg, plan)))
-    margins, top = _fold(rows, "pairing_error", max_pairing_error=(max, "pairing_error"),
-                         max_geo_overshoot=(max, "geo_overshoot"), max_cap_overshoot=(max, "cap_overshoot"))
+        return judge, t, ((pair.r0, pair.s0), (pair.r1, pair.s1))
+
+    margins, top = _fold(_estimated(cfg, alg, 12, plan), "pairing_error",
+                         max_pairing_error=(max, "pairing_error"), max_geo_overshoot=(max, "geo_overshoot"),
+                         max_cap_overshoot=(max, "cap_overshoot"))
     passed = (
         margins["max_pairing_error"] <= INEQ_SLACK
         and margins["max_geo_overshoot"] <= LINE_SLACK

@@ -64,6 +64,22 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "rn:99999999999999999999999" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("cp-table", "--n", "99999999999999999999", "--starts", "1", "--grid", "2"),
+        ("cp-table", "--n", "2", "--starts", "99999999999999999999", "--grid", "2"),
+        ("run", "--suite", "lyapunov-norms", "--algebra", "sym:2", "--trials", "1",
+         "--restarts", "99999999999999999999"),
+        ("run", "--suite", "clarkson", "--n", "99999999999999999999", "--trials", "5", "--grid", "3"),
+    ])
+    def test_oversized_count_exit_two(self, capsys, argv):
+        # a count past NumPy's largest dimension once ended in a ValueError
+        # traceback (exit 1) from the first array it sized
+        code = run_cli(*argv)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "must be <= 9223372036854775807, got 99999999999999999999" in err
+
     def test_config_echoes_the_canonical_descriptor(self, tmp_path):
         # one campaign, one report: each spelling of sym:2 (and of rn:5)
         # echoes the canonical descriptor, so all write one checksum

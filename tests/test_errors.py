@@ -114,6 +114,19 @@ class TestCheckCount:
         call(np.int64(max(low, 2)))
 
 
+# the entry points whose count sizes an array: at most NumPy's largest dimension
+SIZE_ENTRY_POINTS = ("EstimatorConfig.restarts", "CpProblem.n", "cp_bruteforce.starts",
+                     "aggregate_split_check.n", "three_lines_demo.grid_points")
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRY_POINTS)
+def test_array_sizes_reject_past_numpy_dimension(entry):
+    call, name, _ = COUNT_ENTRY_POINTS[entry]
+    high = np.iinfo(np.intp).max
+    with pytest.raises(ValueError, match=f"^{name} must be <= {high}, got {high + 1}$"):
+        call(high + 1)
+
+
 # entry point taking one tolerance
 TOL_ENTRY_POINTS = {
     "EstimatorConfig.tol": lambda v: EstimatorConfig(tol=v),
@@ -147,6 +160,15 @@ class TestCheckTol:
 def test_campaign_counts_raise_report_errors(field, low):
     with pytest.raises(ReportError, match=f"^{field} must be >= {low}, got {low - 1}$"):
         CampaignConfig(suite="cp-table", **{field: low - 1})
+
+
+@pytest.mark.parametrize("field", ["starts", "n", "restarts"])
+def test_campaign_sizes_raise_report_errors(field):
+    high = np.iinfo(np.intp).max
+    with pytest.raises(ReportError, match=f"^{field} must be <= {high}, got {high + 1}$"):
+        CampaignConfig(suite="cp-table", **{field: high + 1})
+    # the counts that size no array keep no upper limit
+    CampaignConfig(suite="cp-table", trials=10**20, max_iters=10**20, seed=10**20)
 
 
 U = unit(SYM2)  # u o u = e

@@ -45,7 +45,7 @@ from jspec import linmaps
 from jspec.exponents import vector_pnorm
 from jspec.linmaps import _PATIENCE, _peak_spectrum, _starts
 from jspec.reports import DEFAULT_GRID
-from conftest import P_GRID
+from conftest import ACCEPTANCE_DESCRIPTORS, P_GRID
 from oracles import closed_form_reference, sym_chart_to_dense, sym_dense_to_chart
 
 FAST = EstimatorConfig(restarts=16, max_iters=120, tol=1e-12, seed=0)
@@ -525,6 +525,18 @@ class TestEstimateMany:
                 want.lower_bound, want.iterations, want.converged, want.stop)
             assert np.array_equal(got.witness_a.coords, want.witness_a.coords)
             assert np.array_equal(got.witness_b.coords, want.witness_b.coords)
+
+    def test_one_spectrum_call_per_call(self, kernel_calls):
+        # the start rows' norms take the one Algebra.eigenvalues call; the
+        # unit's norms are read off lambda(e) = (1, ..., 1), which holds
+        # exactly on every algebra
+        for descriptor in (*ACCEPTANCE_DESCRIPTORS, "herm:6", "sym:10", "rn:64,spin:8"):
+            alg = parse_algebra(descriptor)
+            assert alg.eigenvalues(alg.unit_coords()).tolist() == [1.0] * alg.rank, descriptor
+        t = random_map(parse_algebra("sym:3"), 76)
+        kernel_calls.update(eigenvalues=0)
+        estimate_many([(t, r, s, replace(FAST, max_iters=3)) for r in DEFAULT_GRID for s in DEFAULT_GRID])
+        assert kernel_calls["eigenvalues"] == 1
 
     @pytest.mark.parametrize("floats", [1, 50])
     def test_results_do_not_depend_on_peak_blocks(self, monkeypatch, floats):

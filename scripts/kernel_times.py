@@ -11,6 +11,10 @@ times, in microseconds per row:
     peak.p1     _peak_stack of the block at p = 1
     peak.p4/3   the same at p = 4/3
     peak.pinf   the same at p = inf
+    norm.eig    vector_pnorm(Algebra.eigenvalues(block), 4)
+    norm.p4     elements.row_pnorms(alg, block, 4), which reads the 4-norm
+                off the chart norm of x∘x; norm.eig's call on a checkout
+                without row_pnorms
 
 and, in microseconds per problem:
 
@@ -40,9 +44,11 @@ from pathlib import Path
 
 import numpy as np
 
-ALGEBRAS = ("sym:3", "herm:3", "spin:5", "rn:6", "herm:6", "sym:10", "rn:64,spin:8")
+ALGEBRAS = ("sym:3", "herm:3", "spin:5", "rn:6", "herm:6", "sym:10", "rn:64,spin:8",
+            "rn:16,spin:16,sym:8,herm:4")
 PEAKS = {"peak.p1": "1", "peak.p4/3": "4/3", "peak.pinf": "inf"}
-UNITS = {**dict.fromkeys(("decomp", "rebuild", *PEAKS), "us per row"), "estimate": "us per problem"}
+UNITS = {**dict.fromkeys(("decomp", "rebuild", *PEAKS, "norm.eig", "norm.p4"), "us per row"),
+         "estimate": "us per problem"}
 SIDES = ("parent", "change")
 
 
@@ -61,6 +67,7 @@ def kernels(pkg, desc: str) -> tuple[int, dict]:
     the count (rows or problems) its time is divided by."""
     linmaps = importlib.import_module(pkg.__name__ + ".linmaps")
     exponents = importlib.import_module(pkg.__name__ + ".exponents")
+    elements = importlib.import_module(pkg.__name__ + ".elements")
     reports = importlib.import_module(pkg.__name__ + ".reports")
     alg = pkg.parse_algebra(desc)
     rows = max(1, linmaps._PEAK_FLOATS // alg.dim)
@@ -71,6 +78,9 @@ def kernels(pkg, desc: str) -> tuple[int, dict]:
     for key, p in PEAKS.items():
         exps = [exponents.ExtExponent.coerce(p)]
         fns[key] = (lambda exps=exps: linmaps._peak_stack(alg, x, exps, which)), rows
+    fns["norm.eig"] = (lambda: exponents.vector_pnorm(alg.eigenvalues(x), 4)), rows
+    helper = getattr(elements, "row_pnorms", None)
+    fns["norm.p4"] = ((lambda: helper(alg, x, 4)) if helper else fns["norm.eig"][0]), rows
     t, cfg = linmaps.random_map(alg, 0), linmaps.EstimatorConfig(restarts=32, max_iters=15, seed=0)
     problems = [(t, r, s, cfg) for r in reports.DEFAULT_GRID for s in reports.DEFAULT_GRID]
     fns["estimate"] = (lambda: linmaps.estimate_many(problems)), len(problems)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import AlgebraMismatchError, check_tol, real_array
-from .exponents import ExponentLike, vector_pnorm
+from .exponents import ExponentLike, ExtExponent, vector_pnorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +121,25 @@ def spectral_decomposition(a: Element) -> SpectralDecomposition:
 def p_norm(a: Element, p: ExponentLike) -> float:
     """Spectral p-norm ||a||_p = ||lambda(a)||_p."""
     return float(vector_pnorm(a.algebra.eigenvalues(a.coords), p))
+
+
+def row_pnorms(alg: Algebra, x: np.ndarray, p: ExponentLike) -> np.ndarray:
+    """||x_i||_p of each chart row x_i, along the last axis.
+
+    The chart is orthonormal for the trace inner product, so ||x||_2 is
+    the rows' Euclidean norm, and since λ(x∘x) = λ(x)², ||x||_4² is the
+    Euclidean norm of x∘x. Neither needs a decomposition; every other p
+    reads vector_pnorm(alg.eigenvalues(x), p), as p_norm does."""
+    p = ExtExponent.coerce(p)
+    if p.value == 2.0:
+        return vector_pnorm(x, 2)
+    if p.value == 4.0:
+        # a power of two per row keeps x∘x finite and is exact, so the
+        # result for 2^j·x is 2^j times the result for x, bit for bit
+        k = np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+        y = np.ldexp(x, -k)
+        return np.ldexp(np.sqrt(vector_pnorm(alg.jordan(y, y), 2)), k[..., 0])
+    return vector_pnorm(alg.eigenvalues(x), p)
 
 
 def is_invertible(a: Element, tol: float = 1e-12) -> bool:

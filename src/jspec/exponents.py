@@ -115,7 +115,12 @@ def vector_pnorm(x: np.ndarray, p: ExponentLike) -> np.ndarray:
     if p.value == 1.0:
         return ax.sum(axis=-1)
     if p.value == 2.0:
-        return np.sqrt((ax * ax).sum(axis=-1))
+        # a power of two per row keeps every square finite and normal; the
+        # scaling is exact, so results equal the unscaled sum wherever its
+        # squares were normal numbers
+        k = np.frexp(ax.max(axis=-1, keepdims=True))[1]
+        y = np.ldexp(ax, -k)
+        return np.ldexp(np.sqrt((y * y).sum(axis=-1)), k[..., 0])
     # factor out the max so large p never overflows the power
     m = ax.max(axis=-1)
     safe = np.where(m > 0.0, m, 1.0)

@@ -36,7 +36,7 @@ from .cp_oracle import (
     cp_bruteforce,
     refined_clarkson_check,
 )
-from .elements import random_element
+from .elements import random_element, row_pnorms
 from .errors import DegenerateInputError, ReportError
 from .exponents import ExtExponent, cp_constant, vector_pnorm
 from .interpolation import (
@@ -166,7 +166,7 @@ def _holder_rows(alg: Algebra, p: ExtExponent, a: np.ndarray, b: np.ndarray):
     ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
     lam_a, bases = alg.decomp(a)  # one decomposition for ||a||_p and the peak
     na = vector_pnorm(lam_a, p)
-    nb = vector_pnorm(alg.eigenvalues(b), q)
+    nb = row_pnorms(alg, b, q)
     scale = np.maximum(na * nb, 1e-30)
     lam_peak, ok = _peak_spectrum(lam_a, q)
     pairing = np.einsum("ij,ij->i", a, alg.rebuild(bases, lam_peak))
@@ -205,8 +205,8 @@ def _suite_holder(cfg: CampaignConfig, alg: Algebra):
 
 def _gen_holder_rows(alg: Algebra, p, r, s, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row ratio ||a o b||_s / (||a||_p ||b||_r) of one block."""
-    ns = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), s)
-    denom = np.maximum(vector_pnorm(alg.eigenvalues(a), p) * vector_pnorm(alg.eigenvalues(b), r), 1e-30)
+    ns = row_pnorms(alg, alg.jordan(a, b), s)
+    denom = np.maximum(row_pnorms(alg, a, p) * row_pnorms(alg, b, r), 1e-30)
     return ns / denom
 
 

@@ -1,6 +1,7 @@
 """Element layer: spectra, frames, norms, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from jspec import (
     unit,
     zero,
 )
+from jspec.elements import row_pnorms
+from jspec.exponents import vector_pnorm
+from jspec.reports import DEFAULT_GRID, CampaignConfig
+from jspec.suites import run_suite
 from oracles import oracle_eigenvalues, oracle_inner, oracle_jordan
+from conftest import P_GRID
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -141,6 +147,21 @@ class TestNorms:
         assert p_norm(e, 3) == pytest.approx(n ** (1 / 3))
         assert p_norm(e, "inf") == pytest.approx(1.0)
 
+    def test_two_norm_at_extreme_scales(self, rng):
+        """The p = 2 sum of squares is taken on rows scaled by a power of
+        two: no overflow at 1e200, no flush to zero at 1e-200, and exact
+        equivariance under 2^j, as at p = 1, 3 and inf."""
+        alg = parse_algebra("sym:2")
+        x = rng.standard_normal((8, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (1e200, 1e-200):
+                a = Element(alg, c * np.array([3.0, 0.0, 4.0]))  # diag(3, 4)
+                for p, want in ((1, 7.0), (2, 5.0), (3, 91.0 ** (1 / 3)), ("inf", 4.0)):
+                    assert p_norm(a, p) == pytest.approx(c * want, rel=1e-14), (c, p)
+            for j in (700, -700):
+                assert np.array_equal(vector_pnorm(np.ldexp(x, j), 2), np.ldexp(vector_pnorm(x, 2), j))
+
 
 class TestSampling:
     def test_random_element_deterministic(self, algebra):
@@ -167,3 +188,44 @@ class TestSampling:
         for tol in (True, np.True_):  # not the number 1.0
             with pytest.raises(TypeError, match="tol"):
                 is_invertible(unit(algebra), tol=tol)
+
+
+class TestRowPnorms:
+    """row_pnorms reads ||x||_2 and ||x||_4 off chart norms, and every
+    other p off the eigenvalues."""
+
+    DESCRIPTORS = ("rn:6", "spin:5", "sym:4", "herm:3", "rn:16,spin:16,sym:8,herm:4")
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS)
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_chart_norms_match_eigenvalue_norms(self, desc, p, rng):
+        alg = parse_algebra(desc)
+        x = rng.standard_normal((64, alg.dim))
+        x[5] = 0.0
+        got = row_pnorms(alg, x, p)
+        np.testing.assert_allclose(got, vector_pnorm(alg.eigenvalues(x), p), rtol=1e-14, atol=0.0)
+        assert got[5] == 0.0
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS)
+    def test_other_exponents_are_the_eigenvalue_path(self, desc, rng):
+        alg = parse_algebra(desc)
+        x = rng.standard_normal((16, alg.dim))
+        for p in sorted((set(P_GRID) | set(DEFAULT_GRID)) - {2.0, 4.0}):
+            assert np.array_equal(row_pnorms(alg, x, p), vector_pnorm(alg.eigenvalues(x), p)), p
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS)
+    def test_power_of_two_scaling_is_exact(self, desc, rng):
+        alg = parse_algebra(desc)
+        x = rng.standard_normal((16, alg.dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (2, 4):
+                base = row_pnorms(alg, x, p)
+                for j in (600, -600):
+                    assert np.array_equal(row_pnorms(alg, np.ldexp(x, j), p), np.ldexp(base, j)), (p, j)
+
+    def test_gen_holder_skips_the_spectrum_at_two_and_four(self, kernel_calls):
+        """Default grid: 16 exponent groups of 3 norms each, 19 of them at
+        p = 2 or 4; 160 trials put 10 rows, one block, in each group."""
+        run_suite(CampaignConfig(suite="gen-holder", algebra="sym:2,spin:3", trials=160))
+        assert kernel_calls["eigenvalues"] == 48 - 19

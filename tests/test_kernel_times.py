@@ -23,7 +23,8 @@ def test_one_algebra_both_sides(capsys):
     entry = result["algebras"]["rn:2,spin:3"]
     assert entry["rows"] == _PEAK_FLOATS // 5  # one _peak_stack block of a dim-5 algebra
     for side in ("parent", "change"):
-        assert set(entry[side]) == {"decomp", "rebuild", "peak.p1", "peak.p4/3", "peak.pinf", "estimate"}
+        assert set(entry[side]) == {"decomp", "rebuild", "peak.p1", "peak.p4/3", "peak.pinf",
+                                    "norm.eig", "norm.p4", "estimate"}
         assert all(v > 0.0 for v in entry[side].values())
 
     assert kernel_times.main(["--change", str(_ROOT), "--reps", "1", "--algebras", "rn:2"]) == 0

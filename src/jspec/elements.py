@@ -43,8 +43,9 @@ class Element:
         return Element(self.algebra, self.coords / float(t))
 
     def norm2(self) -> float:
-        """Euclidean chart norm, equal to the spectral 2-norm."""
-        return float(np.linalg.norm(self.coords))
+        """Euclidean chart norm, equal to the spectral 2-norm; scaled, so
+        it neither overflows nor flushes to 0 at extreme magnitudes."""
+        return float(vector_pnorm(self.coords, 2))
 
     def __repr__(self):
         return f"Element({self.algebra.descriptor!r}, {np.array2string(self.coords, precision=4)})"

@@ -10,12 +10,14 @@ plan returned; a check that reruns its estimates does so alone. Each
 problem keeps its trial's seed and estimate_many's results do not depend
 on the batch, so neither do the reports.
 
-The bulk suites (ftvn, holder, gen-holder) draw their rows from one
-generator per suite or per exponent group, and draw and check them in
-row blocks of at most cp_oracle._BLOCK_FLOATS floats, so their memory
-does not grow with the trial count. Consecutive draws continue one
-stream, every check is row by row, and the worst row is the first
-maximum across blocks, so reports do not depend on the block size.
+The bulk suites (ftvn, holder, gen-holder) run through one driver,
+_bulk: it deals the trials round-robin to the suite's groups (one, or
+one per exponent or exponent triple), draws each group's rows from its
+own pair of generators, and checks them in row blocks of at most
+cp_oracle._BLOCK_FLOATS floats, so their memory does not grow with the
+trial count. Consecutive draws continue one stream, every check is row
+by row, and the witness is the first worst row across blocks, also when
+its margin is 0, so reports do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -135,79 +137,74 @@ def _chunk_bounds(chunk: list, problems: list):
 # -- inequality suites ---------------------------------------------------
 
 
-def _ftvn_rows(alg: Algebra, a: np.ndarray, b: np.ndarray):
-    """Per-row violation, inner product and eigenvalue bound of one block."""
-    ip = np.einsum("ij,ij->i", a, b)
-    la = np.sort(alg.eigenvalues(a), axis=-1)[:, ::-1]
-    lb = np.sort(alg.eigenvalues(b), axis=-1)[:, ::-1]
-    rhs = np.einsum("ij,ij->i", la, lb)
-    scale = np.maximum(vector_pnorm(la, 2) * vector_pnorm(lb, 2), 1e-30)
-    return (ip - rhs) / scale, ip, rhs
+def _bulk(cfg: CampaignConfig, alg: Algebra, groups: list, check, worst: str, **margins) -> tuple[dict, dict]:
+    """Margins and witness of a bulk suite, in row blocks.
+
+    Trial i goes to group i mod len(groups); each (group, path_a, path_b)
+    draws its Gaussian rows a and b from _rng(cfg.seed, *path_a) and
+    _rng(cfg.seed, *path_b), one stream each across its row blocks.
+    check(group, lo, a, b) returns the block's per-row arrays by name and
+    witness_of(k), the witness of the block's row k (group row lo + k).
+    Each margin is name=key, the maximum of arrays[key] over all rows; the
+    witness is that of the first row with the largest arrays[worst]. A
+    block's arrays are dropped before the next block is drawn, so memory
+    does not grow with cfg.trials.
+    """
+    out = dict.fromkeys(margins, -math.inf)
+    top, witness = -math.inf, None
+    for gi, (group, path_a, path_b) in enumerate(groups):
+        rng_a, rng_b = _rng(cfg.seed, *path_a), _rng(cfg.seed, *path_b)
+        for lo, hi in _row_blocks(len(range(gi, cfg.trials, len(groups))), alg.dim):
+            shape = (hi - lo, alg.dim)
+            rows, witness_of = check(group, lo, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
+            for name, key in margins.items():
+                out[name] = max(out[name], float(rows[key].max()))
+            k = int(np.argmax(rows[worst]))
+            if witness is None or rows[worst][k] > top:
+                top, witness = rows[worst][k], witness_of(k)
+            del rows, witness_of
+    return out, witness
 
 
 def _suite_ftvn(cfg: CampaignConfig, alg: Algebra):
     """<a, b> <= lambda(a) . lambda(b) (eigenvalues sorted decreasing)."""
-    rng_a, rng_b = _rng(cfg.seed, 0), _rng(cfg.seed, 1)
-    worst = None
-    for lo, hi in _row_blocks(cfg.trials, alg.dim):
-        shape = (hi - lo, alg.dim)
-        viol, ip, rhs = _ftvn_rows(alg, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
-        k = int(np.argmax(viol))
-        if worst is None or viol[k] > worst["violation"]:
-            worst = {"trial": lo + k, "violation": float(viol[k]), "inner": float(ip[k]), "rhs": float(rhs[k])}
-    return worst["violation"] <= INEQ_SLACK, {"max_violation": worst["violation"]}, [worst]
 
+    def check(_, lo: int, a: np.ndarray, b: np.ndarray):
+        ip = np.einsum("ij,ij->i", a, b)
+        la = np.sort(alg.eigenvalues(a), axis=-1)[:, ::-1]
+        lb = np.sort(alg.eigenvalues(b), axis=-1)[:, ::-1]
+        rhs = np.einsum("ij,ij->i", la, lb)
+        viol = (ip - rhs) / np.maximum(vector_pnorm(la, 2) * vector_pnorm(lb, 2), 1e-30)
+        return {"violation": viol}, lambda k: {
+            "trial": lo + k, "violation": float(viol[k]), "inner": float(ip[k]), "rhs": float(rhs[k])}
 
-def _holder_rows(alg: Algebra, p: ExtExponent, a: np.ndarray, b: np.ndarray):
-    """Per-row violations of the two Hölder steps and the attainment
-    error at the dual-norm peak, for one block."""
-    q = p.conjugate
-    ip = np.abs(np.einsum("ij,ij->i", a, b))
-    ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
-    lam_a, bases = alg.decomp(a)  # one decomposition for ||a||_p and the peak
-    na = vector_pnorm(lam_a, p)
-    nb = row_pnorms(alg, b, q)
-    scale = np.maximum(na * nb, 1e-30)
-    lam_peak, ok = _peak_spectrum(lam_a, q)
-    pairing = np.einsum("ij,ij->i", a, alg.rebuild(bases, lam_peak))
-    attain = np.where(ok, np.abs(pairing - na) / np.maximum(na, 1e-30), 0.0)
-    return (ip - ab1) / scale, (ab1 - na * nb) / scale, attain
+    margins, worst = _bulk(cfg, alg, [(None, (0,), (1,))], check, "violation", max_violation="violation")
+    return margins["max_violation"] <= INEQ_SLACK, margins, [worst]
 
 
 def _suite_holder(cfg: CampaignConfig, alg: Algebra):
     """|<a,b>| <= ||a o b||_1 <= ||a||_p ||b||_q, and attainment of
     sup_b <a,b>/||b||_q = ||a||_p at the dual-norm peak."""
-    exps = cfg.exponents
-    max_inner = -math.inf
-    max_prod = -math.inf
-    max_attain = 0.0
-    worst = {}
-    for gi, p in enumerate(exps):
-        m = len(range(gi, cfg.trials, len(exps)))
-        rng_a, rng_b = _rng(cfg.seed, 2, gi), _rng(cfg.seed, 3, gi)
-        for lo, hi in _row_blocks(m, alg.dim):
-            shape = (hi - lo, alg.dim)
-            v1, v2, attain = _holder_rows(alg, p, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
-            max_inner = max(max_inner, float(v1.max()))
-            max_prod = max(max_prod, float(v2.max()))
-            k = int(np.argmax(attain))
-            if attain[k] > max_attain:
-                max_attain = float(attain[k])
-                worst = {"p": exponent_to_json(p.value), "trial_in_group": lo + k, "attain_error": max_attain}
-    margins = {
-        "max_inner_violation": max_inner,
-        "max_product_violation": max_prod,
-        "max_attainment_error": max_attain,
-    }
-    passed = max_inner <= INEQ_SLACK and max_prod <= INEQ_SLACK and max_attain <= INEQ_SLACK
-    return passed, margins, [worst]
 
+    def check(p: ExtExponent, lo: int, a: np.ndarray, b: np.ndarray):
+        q = p.conjugate
+        ip = np.abs(np.einsum("ij,ij->i", a, b))
+        ab1 = vector_pnorm(alg.eigenvalues(alg.jordan(a, b)), 1)
+        lam_a, bases = alg.decomp(a)  # one decomposition for ||a||_p and the peak
+        na = vector_pnorm(lam_a, p)
+        nb = row_pnorms(alg, b, q)
+        scale = np.maximum(na * nb, 1e-30)
+        lam_peak, ok = _peak_spectrum(lam_a, q)
+        pairing = np.einsum("ij,ij->i", a, alg.rebuild(bases, lam_peak))
+        attain = np.where(ok, np.abs(pairing - na) / np.maximum(na, 1e-30), 0.0)
+        rows = {"inner": (ip - ab1) / scale, "product": (ab1 - na * nb) / scale, "attain": attain}
+        return rows, lambda k: {
+            "p": exponent_to_json(p.value), "trial_in_group": lo + k, "attain_error": float(attain[k])}
 
-def _gen_holder_rows(alg: Algebra, p, r, s, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ratio ||a o b||_s / (||a||_p ||b||_r) of one block."""
-    ns = row_pnorms(alg, alg.jordan(a, b), s)
-    denom = np.maximum(row_pnorms(alg, a, p) * row_pnorms(alg, b, r), 1e-30)
-    return ns / denom
+    groups = [(p, (2, gi), (3, gi)) for gi, p in enumerate(cfg.exponents)]
+    margins, worst = _bulk(cfg, alg, groups, check, "attain", max_inner_violation="inner",
+                           max_product_violation="product", max_attainment_error="attain")
+    return all(v <= INEQ_SLACK for v in margins.values()), margins, [worst]
 
 
 def _suite_gen_holder(cfg: CampaignConfig, alg: Algebra):
@@ -224,33 +221,19 @@ def _suite_gen_holder(cfg: CampaignConfig, alg: Algebra):
                 pairs.append((p, r, s))
     if not pairs:
         raise ReportError("grid admits no exponent pair with 1/p + 1/r <= 1 and s != r")
-    max_violation = -math.inf
-    max_ratio = 0.0
-    worst = {}
-    for gi, (p, r, s) in enumerate(pairs):
-        m = len(range(gi, cfg.trials, len(pairs)))
-        if m == 0:
-            continue
-        rng_a, rng_b = _rng(cfg.seed, 4, gi), _rng(cfg.seed, 5, gi)
-        top, k_top = -math.inf, 0  # the group's first largest ratio and its row
-        for lo, hi in _row_blocks(m, alg.dim):
-            shape = (hi - lo, alg.dim)
-            ratio = _gen_holder_rows(alg, p, r, s, rng_a.standard_normal(shape), rng_b.standard_normal(shape))
-            k = int(np.argmax(ratio))
-            if ratio[k] > top:
-                top, k_top = float(ratio[k]), lo + k
+
+    def check(prs: tuple, lo: int, a: np.ndarray, b: np.ndarray):
+        p, r, s = prs
+        denom = np.maximum(row_pnorms(alg, a, p) * row_pnorms(alg, b, r), 1e-30)
+        ratio = row_pnorms(alg, alg.jordan(a, b), s) / denom
         bound = 2.0 * cp_constant(p.conjugate)
-        viol = (top - bound) / bound
-        max_ratio = max(max_ratio, top)
-        if viol > max_violation:
-            max_violation = viol
-            worst = {
-                "p": exponent_to_json(p.value), "r": exponent_to_json(r.value),
-                "s": exponent_to_json(s.value), "ratio": top,
-                "bound": bound, "trial_in_group": k_top,
-            }
-    margins = {"max_violation": max_violation, "max_ratio": max_ratio}
-    return max_violation <= INEQ_SLACK, margins, [worst]
+        return {"ratio": ratio, "violation": (ratio - bound) / bound}, lambda k: {
+            "p": exponent_to_json(p.value), "r": exponent_to_json(r.value), "s": exponent_to_json(s.value),
+            "ratio": float(ratio[k]), "bound": bound, "trial_in_group": lo + k}
+
+    groups = [(prs, (4, gi), (5, gi)) for gi, prs in enumerate(pairs)]
+    margins, worst = _bulk(cfg, alg, groups, check, "violation", max_violation="violation", max_ratio="ratio")
+    return margins["max_violation"] <= INEQ_SLACK, margins, [worst]
 
 
 # -- estimator-vs-closed-form suites ------------------------------------

@@ -162,6 +162,19 @@ class TestNorms:
             for j in (700, -700):
                 assert np.array_equal(vector_pnorm(np.ldexp(x, j), 2), np.ldexp(vector_pnorm(x, 2), j))
 
+    @pytest.mark.parametrize("desc", ["sym:3", "herm:3", "spin:5"])
+    def test_norm2_at_extreme_scales(self, desc, rng):
+        """Element.norm2 scales like p_norm(., 2): 2^j x gives 2^j times
+        the norm bit for bit, with no overflow at 2^600 and no flush to
+        zero at 2^-600."""
+        alg = parse_algebra(desc)
+        x = rng.standard_normal(alg.dim)
+        base = Element(alg, x).norm2()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in (600, -600):
+                assert Element(alg, np.ldexp(x, j)).norm2() == math.ldexp(base, j), j
+
 
 class TestSampling:
     def test_random_element_deterministic(self, algebra):

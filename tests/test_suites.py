@@ -17,6 +17,7 @@ from jspec import (
     replay,
     run_suite,
 )
+from jspec.reports import DEFAULT_GRID
 from jspec.suites import SUITE_IDS, derive_seed
 
 SMOKE = {
@@ -281,6 +282,10 @@ BLOCKED = {
     "holder": dict(algebra=BULK, trials=300, grid=(1, 3, "inf")),
     "gen-holder": dict(algebra=BULK, trials=300, grid=(2, 3)),
     "clarkson": dict(trials=400, grid=(4 / 3, 2, 3), n=3),
+    # every attainment error is 0, so every row ties for the witness
+    "holder-zero-attainment": dict(suite="holder", algebra="rn:6", trials=300, grid=("inf",)),
+    # the default grid's 16 groups, 11 of them without a trial
+    "gen-holder-empty-groups": dict(suite="gen-holder", algebra=BULK, trials=5),
 }
 
 
@@ -291,9 +296,9 @@ class TestRowBlocks:
     # 1 float: one row per block; 77 floats: 7 rows of the algebra suites
     # (19 pairs, 12 aggregation rows), so the last block is short
     @pytest.mark.parametrize("floats", [1, 77])
-    @pytest.mark.parametrize("suite", sorted(BLOCKED))
-    def test_reports_do_not_depend_on_block_size(self, monkeypatch, suite, floats):
-        cfg = CampaignConfig(suite=suite, seed=4, **BLOCKED[suite])
+    @pytest.mark.parametrize("case", sorted(BLOCKED))
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch, case, floats):
+        cfg = CampaignConfig(**{"suite": case, "seed": 4, **BLOCKED[case]})
         want = run_suite(cfg)
         monkeypatch.setattr(cp_oracle, "_BLOCK_FLOATS", floats)
         got = run_suite(cfg)
@@ -330,6 +335,23 @@ class TestRowBlocks:
                 tracemalloc.stop()
 
         assert peak(4 * 8000) <= 1.2 * peak(8000)
+
+    @pytest.mark.parametrize("suite", ["ftvn", "holder", "gen-holder"])
+    @pytest.mark.parametrize("algebra, grid", [(BULK, DEFAULT_GRID), ("rn:6", ("inf",)), ("sym:1", DEFAULT_GRID)],
+                             ids=["bulk", "rn6-inf", "sym1"])
+    def test_witness_carries_the_worst_margin(self, suite, algebra, grid):
+        """The witness is a real row, the first worst one, also where every
+        row's margin is 0 (rn:6 at p = inf, and rank 1)."""
+        if suite == "gen-holder" and grid == ("inf",):
+            grid = (1, "inf")  # {inf} admits no triple; {1, inf} admits (1, inf, 1)
+        rep = run_suite(CampaignConfig(suite=suite, algebra=algebra, grid=grid, trials=60, seed=2))
+        (w,) = rep.witnesses
+        if suite == "ftvn":
+            assert w["violation"] == rep.margins["max_violation"]
+        elif suite == "holder":
+            assert w["attain_error"] == rep.margins["max_attainment_error"]
+        else:
+            assert (w["ratio"] - w["bound"]) / w["bound"] == rep.margins["max_violation"]
 
 
 class TestHonestFailure:
